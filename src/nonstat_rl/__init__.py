@@ -7,11 +7,11 @@ from .dqn import DqnLearner, RewardScaler, polyak_update
 from .errors import ConfigError, DivergenceError, UsageError
 from .framework import ExpertManager, GmmDetector, SafetyMonitor, augment_observation
 from .nets import Adam, DeepSetsEncoder, Mlp
-from .replay import Experience, make_buffer
+from .replay import Batch, Experience, make_buffer
 from .stats import BoxStats, nearest_rank
 
 __all__ = [
-    "A2cLearner", "Adam", "BoxStats", "ConfigError", "DeepSetsEncoder",
+    "A2cLearner", "Adam", "Batch", "BoxStats", "ConfigError", "DeepSetsEncoder",
     "DivergenceError", "DqnLearner", "EpisodeBatch", "Experience",
     "ExpertManager", "GmmDetector", "Mlp", "RewardScaler", "SafetyMonitor",
     "Trajectory", "UsageError", "augment_observation", "compute_gae",

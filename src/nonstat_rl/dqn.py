@@ -5,6 +5,8 @@ reward magnitudes differ by orders of magnitude.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .errors import DivergenceError
@@ -68,21 +70,14 @@ class DqnLearner:
         q_next = self.target.forward(next_states)[np.arange(len(a_star)), a_star]
         return rewards + self.gamma * (1.0 - dones) * q_next
 
-    def update(self, experiences, reward_scaler=None):
-        """One L2 regression step on a minibatch, then a Polyak target update."""
-        states = np.stack([e.state for e in experiences])
-        next_states = np.stack([e.next_state for e in experiences])
-        actions = np.array([e.action for e in experiences])
-        dones = np.array([float(e.done) for e in experiences])
+    def update(self, batch, reward_scaler=None):
+        """One L2 regression step on a `replay.Batch`, then a Polyak target update."""
+        rewards = batch.rewards
         if reward_scaler is not None:
-            rewards = np.array(
-                [reward_scaler.scale(e.env_index, e.reward) for e in experiences]
-            )
-        else:
-            rewards = np.array([e.reward for e in experiences])
-
-        y = self.bellman_targets(rewards, next_states, dones)
-        q = self.online.forward_train(states)
+            rewards = reward_scaler.scale_batch(batch.env_index, rewards)
+        y = self.bellman_targets(rewards, batch.next_states, batch.dones)
+        q = self.online.forward_train(batch.states)
+        actions = batch.actions
         rows = np.arange(len(actions))
         q_a = q[rows, actions]
         loss = float(((q_a - y) ** 2).mean())
@@ -112,19 +107,21 @@ class RewardScaler:
     reward seen so far. `freeze` pins the scale forever; consistency after
     freezing is what keeps a shared Q-network's loss comparable across
     environments. With no data (or an all-zero median) the scale is 1.
+
+    Samples are kept sorted, so the running median is O(1) to read and
+    equal to `np.median` of the same values.
     """
 
     def __init__(self, enabled=True):
         self.enabled = enabled
-        self._samples = {}
+        self._samples = {}  # env -> sorted absolute rewards
         self._frozen = {}
-        self._cache = {}  # env -> (sample count, median), recomputed on growth
 
     def observe(self, env_index, reward):
         """Record a calibration-phase reward; ignored once frozen."""
         if not self.enabled or env_index in self._frozen:
             return
-        self._samples.setdefault(env_index, []).append(abs(float(reward)))
+        bisect.insort(self._samples.setdefault(env_index, []), abs(float(reward)))
 
     def freeze(self, env_index):
         """Pin the environment's scale at the median absolute reward."""
@@ -139,20 +136,26 @@ class RewardScaler:
         samples = self._samples.get(env_index)
         if not samples:
             return 1.0
-        cached = self._cache.get(env_index)
-        if cached is not None and cached[0] == len(samples):
-            return cached[1]
-        med = float(np.median(samples))
-        med = med if med > 0 else 1.0
-        self._cache[env_index] = (len(samples), med)
-        return med
+        mid = len(samples) // 2
+        med = samples[mid] if len(samples) % 2 else (samples[mid - 1] + samples[mid]) / 2
+        return med if med > 0 else 1.0
 
     def scale_of(self, env_index):
         if not self.enabled:
             return 1.0
-        return self._frozen.get(env_index, self._estimate(env_index))
+        frozen = self._frozen.get(env_index)
+        return frozen if frozen is not None else self._estimate(env_index)
 
     def scale(self, env_index, reward):
         if not self.enabled:
             return reward
         return reward / self.scale_of(env_index)
+
+    def scale_batch(self, env_index, rewards):
+        """`scale` over a batch of (non-negative) environment indices: the
+        same IEEE division per item, with one scale lookup per index up to
+        the largest in the batch."""
+        if not self.enabled:
+            return rewards
+        table = np.array([self.scale_of(env) for env in range(int(env_index.max()) + 1)])
+        return rewards / table[env_index]

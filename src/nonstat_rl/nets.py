@@ -11,6 +11,7 @@ so there is no need for anything faster.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 
 import numpy as np
@@ -194,8 +195,11 @@ class Adam:
     """Adam with bias correction and decoupled weight decay.
 
     One optimizer instance owns the moment accumulators for one parameter
-    list; `step` mutates the parameter arrays in place. Non-finite gradients
-    abort immediately (they mean training has diverged).
+    list, kept as one flat vector each; `step` mutates the parameter arrays
+    in place. A non-finite gradient or second-moment estimate (a finite
+    gradient whose square overflows included) means training has diverged:
+    `step` raises `DivergenceError` and leaves parameters and state as they
+    were.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -206,27 +210,42 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._bounds = [0, *itertools.accumulate(np.size(p) for p in params)]
+        self.m = np.zeros(self._bounds[-1])
+        self.v = np.zeros(self._bounds[-1])
 
     def step(self, params, grads):
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        n = len(self._bounds) - 1
+        if len(params) != n or len(grads) != n:
             raise ConfigError("optimizer state does not match parameter list")
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError("non-finite gradient")
-        self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
+        g = np.concatenate([x.ravel() for x in grads])
+        if g.size != self.m.size:
+            raise ConfigError("gradient sizes do not match parameter list")
+        t = self.t + 1
+        b1c = 1.0 - self.beta1 ** t
+        b2c = 1.0 - self.beta2 ** t
+        # overflow here is not an error in itself: the check below turns
+        # any non-finite second moment into a DivergenceError
+        with np.errstate(over="ignore"):
+            m = self.m * self.beta1
             m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p
-            p -= self.lr * update
+            gg = (1.0 - self.beta2) * g
+            gg *= g
+            v = self.v * self.beta2
+            v += gg
+            denom = v / b2c
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        if not np.isfinite(denom).all():
+            raise DivergenceError("non-finite gradient or second moment")
+        update = m / b1c
+        update /= denom
+        if self.weight_decay:
+            update += self.weight_decay * np.concatenate([p.ravel() for p in params])
+        update *= self.lr
+        for p, lo, hi in zip(params, self._bounds, self._bounds[1:]):
+            p -= update[lo:hi].reshape(p.shape)
+        self.t, self.m, self.v = t, m, v
 
 
 class DeepSetsEncoder:

@@ -1,4 +1,4 @@
-"""Experience tuples and the four replay-buffer strategies.
+"""Experience tuples, sampled batches and the four replay-buffer strategies.
 
 All constituent buffers are FIFO rings; sampling is uniform with
 replacement within a ring. The strategies differ in how rings are
@@ -10,6 +10,11 @@ combined:
   sampled half/half
 * ``multi``  -- one ring per environment index, created on first sight
   and sampled in equal shares
+
+A ring is a column store: one float64 row per experience, laid out as
+``[state | next_state | action, reward, done, env_index]``. Sampling
+gathers rows with one fancy index and hands the learner a `Batch` of
+column views, so a minibatch costs no per-item Python work.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
+
+# columns after the two state blocks: action, reward, done, env_index
+_TAIL = 4
+_MIN_ROWS = 64
 
 
 @dataclass
@@ -37,36 +46,80 @@ class Experience:
         if not math.isfinite(self.reward):
             raise ConfigError(f"non-finite reward {self.reward}")
 
+    def row(self):
+        """The experience as one ring row."""
+        return np.concatenate((self.state, self.next_state,
+                               (self.action, self.reward, self.done, self.env_index)))
+
+
+@dataclass
+class Batch:
+    """A minibatch as columns; `from_rows` makes them views of one matrix."""
+
+    states: np.ndarray
+    actions: np.ndarray     # intp
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray       # 1.0 / 0.0
+    env_index: np.ndarray   # intp
+
+    @classmethod
+    def from_rows(cls, rows):
+        d = (rows.shape[1] - _TAIL) // 2
+        return cls(states=rows[:, :d], actions=rows[:, 2 * d].astype(np.intp),
+                   rewards=rows[:, 2 * d + 1], next_states=rows[:, d:2 * d],
+                   dones=rows[:, 2 * d + 2], env_index=rows[:, 2 * d + 3].astype(np.intp))
+
+    def __len__(self):
+        return len(self.rewards)
+
 
 class Ring:
-    """Fixed-capacity FIFO ring with uniform sampling (with replacement)."""
+    """Fixed-capacity FIFO ring of rows with uniform sampling (with replacement).
+
+    Storage grows geometrically (x2 from 64 rows, capped at `capacity`), so
+    a ring sized for a long run costs memory only for what it holds.
+    """
 
     def __init__(self, capacity):
         if capacity < 1:
             raise ConfigError("ring capacity must be >= 1")
         self.capacity = int(capacity)
-        self.items = []
+        self.rows = None
+        self._len = 0
         self._next = 0
 
-    def append(self, item):
-        if len(self.items) < self.capacity:
-            self.items.append(item)
+    def append(self, row):
+        if self._len < self.capacity:
+            if self.rows is None or self._len == len(self.rows):
+                self._grow(len(row))
+            self.rows[self._len] = row
+            self._len += 1
         else:
-            self.items[self._next] = item
+            self.rows[self._next] = row
             self._next = (self._next + 1) % self.capacity
 
+    def _grow(self, width):
+        n = min(self.capacity, max(_MIN_ROWS, 2 * self._len))
+        rows = np.empty((n, width))
+        if self._len:
+            rows[:self._len] = self.rows
+        self.rows = rows
+
     def sample(self, k, rng):
-        if not self.items:
+        """k rows drawn uniformly with replacement, as a new (k, width) array."""
+        if not self._len:
             raise UsageError("sampling from an empty buffer")
-        idx = rng.integers(0, len(self.items), size=k)
-        return [self.items[i] for i in idx]
+        return self.rows[rng.integers(0, self._len, size=k)]
 
     def __len__(self):
-        return len(self.items)
+        return self._len
 
     def contents(self):
-        # oldest-first order
-        return self.items[self._next:] + self.items[:self._next]
+        """All held rows, oldest first."""
+        if not self._len:
+            return np.empty((0, 0))
+        return np.concatenate((self.rows[self._next:self._len], self.rows[:self._next]))
 
 
 class LargeBuffer:
@@ -76,10 +129,10 @@ class LargeBuffer:
         self.ring = Ring(capacity)
 
     def insert(self, exp):
-        self.ring.append(exp)
+        self.ring.append(exp.row())
 
     def sample(self, batch, rng):
-        return self.ring.sample(batch, rng)
+        return Batch.from_rows(self.ring.sample(batch, rng))
 
     def __len__(self):
         return len(self.ring)
@@ -107,18 +160,20 @@ class LongTermShortTermBuffer:
         self.short = Ring(short_capacity)
 
     def insert(self, exp):
-        self.long.append(exp)
-        self.short.append(exp)
+        row = exp.row()
+        self.long.append(row)
+        self.short.append(row)
 
     def sample(self, batch, rng):
         if len(self.long) == 0 and len(self.short) == 0:
             raise UsageError("sampling from an empty buffer")
         if len(self.long) == 0:
-            return self.short.sample(batch, rng)
+            return Batch.from_rows(self.short.sample(batch, rng))
         if len(self.short) == 0:
-            return self.long.sample(batch, rng)
+            return Batch.from_rows(self.long.sample(batch, rng))
         n_long = batch - batch // 2
-        return self.long.sample(n_long, rng) + self.short.sample(batch // 2, rng)
+        return Batch.from_rows(np.concatenate((self.long.sample(n_long, rng),
+                                               self.short.sample(batch // 2, rng))))
 
     def __len__(self):
         return len(self.long)
@@ -141,19 +196,19 @@ class MultiBuffer:
         ring = self.rings.get(exp.env_index)
         if ring is None:
             ring = self.rings[exp.env_index] = Ring(self.capacity_each)
-        ring.append(exp)
+        ring.append(exp.row())
 
     def sample(self, batch, rng):
         live = sorted(idx for idx, ring in self.rings.items() if len(ring))
         if not live:
             raise UsageError("sampling from an empty buffer")
         base, extra = divmod(batch, len(live))
-        out = []
+        parts = []
         for pos, idx in enumerate(live):
             share = base + (1 if pos < extra else 0)
             if share:
-                out.extend(self.rings[idx].sample(share, rng))
-        return out
+                parts.append(self.rings[idx].sample(share, rng))
+        return Batch.from_rows(np.concatenate(parts))
 
     def __len__(self):
         return sum(len(r) for r in self.rings.values())

@@ -11,7 +11,7 @@ import pytest
 from nonstat_rl.dqn import DqnLearner, EpsilonSchedule, RewardScaler, polyak_update
 from nonstat_rl.errors import UsageError
 from nonstat_rl.nets import Mlp
-from nonstat_rl.replay import Experience, make_buffer
+from nonstat_rl.replay import Batch, Experience, make_buffer
 
 
 def exp(i, env=0, reward=0.0, action=0, done=False):
@@ -70,7 +70,7 @@ class TestPolyak:
         before = [p.copy() for p in learner.target.parameters()]
         batch = [Experience(rng.normal(size=2), int(rng.integers(3)), rng.normal(),
                             rng.normal(size=2), False) for _ in range(4)]
-        learner.update(batch)
+        learner.update(Batch.from_rows(np.stack([e.row() for e in batch])))
         # target moved only by the alpha-blend toward online
         for t, b, o in zip(learner.target.parameters(), before,
                            learner.online.parameters()):
@@ -159,13 +159,17 @@ class TestChainMdpOracle:
                                   np.random.default_rng(0)) is None
 
 
+def rows(*exps):
+    return np.stack([e.row() for e in exps])
+
+
 class TestBuffers:
     def test_small_ring_fifo(self):
         buf = make_buffer("small", capacity=2)
         e1, e2, e3 = exp(1), exp(2), exp(3)
         for e in (e1, e2, e3):
             buf.insert(e)
-        assert buf.ring.contents() == [e2, e3]
+        assert np.array_equal(buf.ring.contents(), rows(e2, e3))
 
     def test_multi_buffer_per_env_rings(self):
         buf = make_buffer("multi")
@@ -178,8 +182,8 @@ class TestBuffers:
         items = [exp(i) for i in range(5)]
         for e in items:
             buf.insert(e)
-        assert buf.long.contents() == items
-        assert buf.short.contents() == items[-2:]
+        assert np.array_equal(buf.long.contents(), rows(*items))
+        assert np.array_equal(buf.short.contents(), rows(*items[-2:]))
 
     def test_ltst_samples_half_from_each(self):
         buf = make_buffer("ltst", long_capacity=10, short_capacity=2)
@@ -190,7 +194,7 @@ class TestBuffers:
         batch = buf.sample(8, rng)
         assert len(batch) == 8
         # the short half can only contain the two most recent items
-        assert all(e in items[-2:] for e in batch[4:])
+        assert set(batch.states[4:, 0]) <= {3.0, 4.0}
 
     def test_multi_equal_shares(self):
         buf = make_buffer("multi")
@@ -199,7 +203,7 @@ class TestBuffers:
                 buf.insert(exp(i, env=env))
         rng = np.random.default_rng(2)
         batch = buf.sample(9, rng)
-        counts = {env: sum(1 for e in batch if e.env_index == env) for env in (0, 1, 2)}
+        counts = {env: int((batch.env_index == env).sum()) for env in (0, 1, 2)}
         assert counts == {0: 3, 1: 3, 2: 3}
 
     def test_multi_remainder_round_robin(self):
@@ -207,15 +211,20 @@ class TestBuffers:
         for env in (0, 1, 2):
             buf.insert(exp(env, env=env))
         batch = buf.sample(8, np.random.default_rng(3))
-        counts = {env: sum(1 for e in batch if e.env_index == env) for env in (0, 1, 2)}
+        counts = {env: int((batch.env_index == env).sum()) for env in (0, 1, 2)}
         assert counts == {0: 3, 1: 3, 2: 2}
 
     def test_single_element_sampled_with_replacement(self):
         buf = make_buffer("large", capacity=10)
-        e = exp(0)
+        e = exp(0, reward=1.5, action=2, done=True)
         buf.insert(e)
         batch = buf.sample(4, np.random.default_rng(4))
-        assert batch == [e, e, e, e]
+        assert np.array_equal(batch.states, np.tile(e.state, (4, 1)))
+        assert np.array_equal(batch.next_states, np.tile(e.next_state, (4, 1)))
+        assert batch.actions.tolist() == [2] * 4
+        assert batch.rewards.tolist() == [1.5] * 4
+        assert batch.dones.tolist() == [1.0] * 4
+        assert batch.env_index.tolist() == [0] * 4
 
     def test_empty_sample_is_error(self):
         for name in ("large", "small", "ltst", "multi"):
@@ -227,12 +236,36 @@ class TestBuffers:
         for i in range(10):
             buf.insert(exp(i, reward=float(i)))
         rng = np.random.default_rng(5)
-        counts = np.zeros(10)
         n = 10_000
-        for e in buf.sample(n, rng):
-            counts[int(e.reward)] += 1
+        counts = np.bincount(buf.sample(n, rng).rewards.astype(int), minlength=10)
         chi2 = float(((counts - n / 10) ** 2 / (n / 10)).sum())
         assert chi2 < 27.88  # chi-square df=9 at the 0.1% level
+
+    def test_batch_columns_view_one_matrix(self):
+        buf = make_buffer("ltst", long_capacity=10, short_capacity=4)
+        for i in range(6):
+            buf.insert(exp(i))
+        batch = buf.sample(8, np.random.default_rng(6))
+        matrix = batch.states.base
+        assert matrix is not None and matrix.shape == (8, 1 + 1 + 4)
+        for col in (batch.next_states, batch.rewards, batch.dones):
+            assert col.base is matrix
+        assert batch.actions.dtype == np.intp and batch.env_index.dtype == np.intp
+
+    def test_storage_grows_geometrically_not_to_capacity(self):
+        buf = make_buffer("large", capacity=1_000_000)
+        sizes = []
+        for i in range(300):
+            buf.insert(exp(i))
+            sizes.append(len(buf.ring.rows))
+        assert sorted(set(sizes)) == [64, 128, 256, 512]
+
+    def test_storage_growth_capped_at_capacity(self):
+        buf = make_buffer("small", capacity=100)
+        for i in range(250):
+            buf.insert(exp(i))
+        assert buf.ring.rows.shape == (100, 1 + 1 + 4)
+        assert buf.ring.contents()[:, 0].tolist() == list(range(150, 250))
 
 
 class TestRewardScaler:
@@ -284,3 +317,29 @@ class TestRewardScaler:
     def test_default_scale_is_one(self):
         sc = RewardScaler()
         assert sc.scale(9, -42.0) == -42.0
+
+    def test_batch_scaling_matches_per_item_division(self):
+        sc = RewardScaler()
+        rng = np.random.default_rng(8)
+        for env, mag in ((0, 500.0), (1, 3.0), (2, 40.0)):
+            for _ in range(37):
+                sc.observe(env, -mag * rng.lognormal(0, 0.5))
+        sc.freeze(1)
+        envs = rng.integers(0, 4, size=64)  # env 3 has no data: scale 1
+        rewards = -rng.lognormal(3.0, 1.0, size=64)
+        want = [sc.scale(int(e), float(r)) for e, r in zip(envs, rewards)]
+        assert sc.scale_batch(envs, rewards).tolist() == want
+        one_env = np.zeros(64, dtype=np.intp)
+        assert sc.scale_batch(one_env, rewards).tolist() == [
+            sc.scale(0, float(r)) for r in rewards]
+
+    def test_disabled_batch_is_identity(self):
+        rewards = np.array([-1.0, -2.0])
+        assert RewardScaler(enabled=False).scale_batch(np.array([0, 1]), rewards) is rewards
+
+    def test_frozen_scale_skips_estimate(self, monkeypatch):
+        sc = RewardScaler()
+        sc.observe(0, -10.0)
+        sc.freeze(0)
+        monkeypatch.setattr(sc, "_estimate", lambda env: pytest.fail("estimated"))
+        assert sc.scale_of(0) == 10.0

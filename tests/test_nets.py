@@ -4,6 +4,8 @@ The gradient oracle is central finite differences over an independent
 forward-only evaluation path.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,45 @@ class TestAdam:
         p = [np.array([0.0])]
         with pytest.raises(DivergenceError):
             Adam(p).step(p, [np.array([np.nan])])
+
+    # 1e200 overflows g*g; 2e154 overflows only v / (1 - beta2)
+    @pytest.mark.parametrize("huge", [1e200, -1e200, 2e154, np.inf])
+    def test_overflowing_second_moment_raises(self, huge):
+        p = [np.array([0.5]), np.zeros((2, 2))]
+        opt = Adam(p)
+        opt.step(p, [np.array([0.1]), np.ones((2, 2))])
+        before = [x.copy() for x in p]
+        state = (opt.t, np.copy(opt.m), np.copy(opt.v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                opt.step(p, [np.array([huge]), np.ones((2, 2))])
+        assert all(np.array_equal(a, b) for a, b in zip(p, before))
+        assert opt.t == state[0]
+        assert np.array_equal(opt.m, state[1]) and np.array_equal(opt.v, state[2])
+
+    def test_flat_step_matches_per_parameter_adam(self):
+        """Bit-identical to the textbook per-array update, weight decay included."""
+        rng = np.random.default_rng(11)
+        shapes = [(4, 3), (4,), (2, 4), (2,)]
+        p = [rng.normal(size=s) for s in shapes]
+        ref = [x.copy() for x in p]
+        opt = Adam(p, lr=0.01, weight_decay=0.01)
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 8):
+            grads = [rng.normal(scale=10.0 ** t, size=s) for s in shapes]
+            opt.step(p, grads)
+            for x, g, mi, vi in zip(ref, grads, m, v):
+                mi *= b1
+                mi += (1.0 - b1) * g
+                vi *= b2
+                vi += (1.0 - b2) * g * g
+                update = (mi / (1.0 - b1 ** t)) / (np.sqrt(vi / (1.0 - b2 ** t)) + eps)
+                update = update + 0.01 * x
+                x -= 0.01 * update
+            assert all(np.array_equal(a, b) for a, b in zip(p, ref))
 
 
 class TestDeepSets:
