@@ -260,8 +260,9 @@ class StragglerSim:
 
     # -- internals ----------------------------------------------------------
     def _log(self, t, event, jid, server, detail=""):
-        if self.keep_event_log:
-            self.event_log.append((t, event, jid, server, detail))
+        # callers check keep_event_log first, so the detail string is only
+        # formatted when it is kept
+        self.event_log.append((t, event, jid, server, detail))
 
     def _schedule_arrival(self):
         rate = self.workload.rate_at(self.now)
@@ -318,7 +319,8 @@ class StragglerSim:
             self._win_max_queue = q
         if self.safeguard_enabled and not self.latch and q >= self.unsafe_queue:
             self.latch = True
-            self._log(t, "latch_on", -1, s, str(q))
+            if self.keep_event_log:
+                self._log(t, "latch_on", -1, s, str(q))
 
     def inject_job(self, t_ms, size_ms):
         """Deterministic arrival for oracle event traces (testing hook)."""
@@ -339,7 +341,8 @@ class StragglerSim:
         copy = _Copy(job, self.draw_service_time(job.size), s)
         job.copies.append(copy)
         self._enqueue(copy, t)
-        self._log(t, "arrive", job.jid, s, f"{job.size:.3f}")
+        if self.keep_event_log:
+            self._log(t, "arrive", job.jid, s, f"{job.size:.3f}")
         timeout = self._window_timeout
         if timeout != math.inf:
             self._seq += 1
@@ -364,7 +367,8 @@ class StragglerSim:
             latency = t - job.t_arrive
             self._win_latencies.append(latency)
             self._win_proc.append(copy.service)
-            self._log(t, "complete", job.jid, s, f"{latency:.3f}")
+            if self.keep_event_log:
+                self._log(t, "complete", job.jid, s, f"{latency:.3f}")
             for sib in job.copies:
                 if sib is not copy and sib.state == 0:
                     s2 = sib.server
@@ -372,12 +376,14 @@ class StragglerSim:
                     self.queues[s2].remove(sib)
                     self.qlen[s2] -= 1
                     sib.state = 2
-                    self._log(t, "cancel", job.jid, s2)
-        else:
+                    if self.keep_event_log:
+                        self._log(t, "cancel", job.jid, s2)
+        elif self.keep_event_log:
             self._log(t, "sibling_done", job.jid, s)
         if self.latch and max(self.qlen) <= self.safe_queue:
             self.latch = False
-            self._log(t, "latch_off", -1, -1)
+            if self.keep_event_log:
+                self._log(t, "latch_off", -1, -1)
 
     def _hedge(self, t, job):
         if job.done or job.hedged or self.latch:
@@ -389,7 +395,8 @@ class StragglerSim:
         job.copies.append(copy)
         self.hedges_total += 1
         self._win_hedges += 1
-        self._log(t, "hedge", job.jid, s)
+        if self.keep_event_log:
+            self._log(t, "hedge", job.jid, s)
         self._enqueue(copy, t)
 
     # -- stepping -----------------------------------------------------------
