@@ -13,7 +13,7 @@ combined:
 
 A ring is a column store: one float64 row per experience, laid out as
 ``[state | next_state | action, reward, done, env_index]``. Sampling
-gathers rows with one fancy index and hands the learner a `Batch` of
+gathers rows straight into one matrix and hands the learner a `Batch` of
 column views, so a minibatch costs no per-item Python work.
 """
 
@@ -106,11 +106,17 @@ class Ring:
             rows[:self._len] = self.rows
         self.rows = rows
 
-    def sample(self, k, rng):
-        """k rows drawn uniformly with replacement, as a new (k, width) array."""
+    def sample(self, k, rng, out=None):
+        """k rows drawn uniformly with replacement, written into `out` (a
+        (k, width) array, new if not given) and returned."""
         if not self._len:
             raise UsageError("sampling from an empty buffer")
-        return self.rows[rng.integers(0, self._len, size=k)]
+        if out is None:
+            out = np.empty((k, self.rows.shape[1]))
+        # the indices are in range by construction; mode="clip" spares np.take
+        # the buffered copy it makes under the default mode="raise"
+        return np.take(self.rows, rng.integers(0, self._len, size=k), axis=0,
+                       out=out, mode="clip")
 
     def __len__(self):
         return self._len
@@ -120,6 +126,17 @@ class Ring:
         if not self._len:
             return np.empty((0, 0))
         return np.concatenate((self.rows[self._next:self._len], self.rows[:self._next]))
+
+
+def _draw(draws, rng):
+    """One Batch of k rows from each non-empty (ring, k) in turn, drawn
+    straight into one matrix."""
+    out = np.empty((sum(k for _, k in draws), draws[0][0].rows.shape[1]))
+    lo = 0
+    for ring, k in draws:
+        ring.sample(k, rng, out[lo:lo + k])
+        lo += k
+    return Batch.from_rows(out)
 
 
 class LargeBuffer:
@@ -171,9 +188,7 @@ class LongTermShortTermBuffer:
             return Batch.from_rows(self.short.sample(batch, rng))
         if len(self.short) == 0:
             return Batch.from_rows(self.long.sample(batch, rng))
-        n_long = batch - batch // 2
-        return Batch.from_rows(np.concatenate((self.long.sample(n_long, rng),
-                                               self.short.sample(batch // 2, rng))))
+        return _draw([(self.long, batch - batch // 2), (self.short, batch // 2)], rng)
 
     def __len__(self):
         return len(self.long)
@@ -203,12 +218,9 @@ class MultiBuffer:
         if not live:
             raise UsageError("sampling from an empty buffer")
         base, extra = divmod(batch, len(live))
-        parts = []
-        for pos, idx in enumerate(live):
-            share = base + (1 if pos < extra else 0)
-            if share:
-                parts.append(self.rings[idx].sample(share, rng))
-        return Batch.from_rows(np.concatenate(parts))
+        # rings past the first `batch` would get a share of 0: draw nothing there
+        return _draw([(self.rings[idx], base + (1 if pos < extra else 0))
+                      for pos, idx in enumerate(live[:batch])], rng)
 
     def __len__(self):
         return sum(len(r) for r in self.rings.values())

@@ -87,10 +87,11 @@ def test_ltst_matches_list_rings(long_cap, short_cap, n, batch, seed):
         long_ref.append(e)
         short_ref.append(e)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = buf.sample(batch, rng_a)
-    want = (long_ref.sample(batch - batch // 2, rng_b)
-            + short_ref.sample(batch // 2, rng_b))
-    assert np.array_equal(batch_rows(got), as_rows(want))
+    for _ in range(2):  # the second draw checks the RNG stream stayed aligned
+        got = buf.sample(batch, rng_a)
+        want = (long_ref.sample(batch - batch // 2, rng_b)
+                + short_ref.sample(batch // 2, rng_b))
+        assert np.array_equal(batch_rows(got), as_rows(want))
 
 
 @SETTINGS
@@ -105,15 +106,16 @@ def test_multi_matches_list_rings(envs, capacity, batch, seed):
         buf.insert(e)
         refs.setdefault(env, ListRing(capacity)).append(e)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = buf.sample(batch, rng_a)
     live = sorted(refs)
     base, extra = divmod(batch, len(live))
-    want = []
-    for pos, env in enumerate(live):
-        share = base + (1 if pos < extra else 0)
-        if share:
-            want.extend(refs[env].sample(share, rng_b))
-    assert np.array_equal(batch_rows(got), as_rows(want))
+    for _ in range(2):  # the second draw checks the RNG stream stayed aligned
+        got = buf.sample(batch, rng_a)
+        want = []
+        for pos, env in enumerate(live):
+            share = base + (1 if pos < extra else 0)
+            if share:
+                want.extend(refs[env].sample(share, rng_b))
+        assert np.array_equal(batch_rows(got), as_rows(want))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
