@@ -1,4 +1,5 @@
-"""Golden digests of whole-run artifacts.
+"""Golden digests of whole-run artifacts, frozen-policy metrics and
+checkpoint parameters.
 
 Each case runs a short config end to end and compares the sha256 of the
 four deterministic artifacts with a stored value. A change that alters
@@ -6,19 +7,26 @@ results (RNG draw order, float operation order, buffer sampling) fails
 here even when every per-module test still passes. Regenerating a digest
 is a deliberate behaviour change and must be stated in CHANGES.md.
 
-To print fresh digests: ``python tests/test_golden.py``.
+The same holds for the values in `PINNED`: exact `evaluate_policy` and
+`cross_eval` results, and the sha256 of the *loaded* parameter arrays of
+checkpoints (`np.savez` stamps each zip entry with the current time, so
+the file bytes themselves vary between runs).
+
+To print fresh digests and values: ``python tests/test_golden.py``.
 """
 
 import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nonstat_rl.harness import (
-    ExperimentConfig, abr_defaults, run_experiment, scenario_cyclic,
-    scenario_stationary,
+    ExperimentConfig, abr_defaults, cross_eval, evaluate_policy,
+    pretrain_checkpoint, run_experiment, scenario_cyclic, scenario_stationary,
 )
 
 ARTIFACTS = ("timeseries.csv", "detections.csv", "summary.csv", "status.json")
@@ -117,6 +125,143 @@ def test_artifact_digests_unchanged(case, tmp_path):
     assert digests(CASES[case](), str(tmp_path)) == GOLDEN[case]
 
 
+# --------------------------------------------------------------------------
+# frozen-policy evaluation, cross-evaluation and checkpoint parameters
+
+
+def mixed_policy(n_actions, p_fixed, fixed=None):
+    """A policy that reads both the observation and the policy rng: with
+    probability `p_fixed` action `fixed` (a uniform draw when None), else an
+    action hashed from the observation."""
+    def act(obs, rng):
+        if rng.random() < p_fixed:
+            return int(rng.integers(n_actions)) if fixed is None else fixed
+        return int(np.floor(abs(obs.sum()) * 7)) % n_actions
+    return act
+
+
+STRAGGLER_EVAL = ExperimentConfig(scenario=scenario_stationary("A", 1),
+                                  episode_len=24, seed=3)
+# tiny A2C budgets for checkpoints; the trained policies still differ from
+# never hedging, so cross_eval's normalization is defined
+PRETRAIN = dict(t_c=6, episode_len=16, entropy_epochs=4, eps_random_epochs=1,
+                eps_decay_epochs=4, seed=5)
+
+EVALUATIONS = {
+    # mostly 3 ms hedging on high_rate: the safeguard hands off to no-hedging
+    "straggler-safeguard": lambda: evaluate_policy(
+        STRAGGLER_EVAL, mixed_policy(7, 0.8, fixed=0), "high_rate", 4, seed=21),
+    "straggler-unguarded": lambda: evaluate_policy(
+        replace(STRAGGLER_EVAL, safeguard=False), mixed_policy(7, 0.8, fixed=0),
+        "high_rate", 4, seed=21),
+    "straggler-workload-info": lambda: evaluate_policy(
+        replace(STRAGGLER_EVAL, workload_info=True), mixed_policy(7, 0.5),
+        "C", 4, seed=22),
+    "abr-workload-info": lambda: evaluate_policy(
+        abr_defaults(scenario_stationary("UG1", 1), episode_len=20,
+                     workload_info=True),
+        mixed_policy(6, 0.5), "UG2", 3, seed=13),
+}
+
+PINNED = {
+    "straggler-safeguard": 2165.2507200648724,
+    "straggler-unguarded": 2822.2945091566316,
+    "straggler-workload-info": 119.6843363801579,
+    "abr-workload-info": 5.182463212742216,
+    "cross-eval A->C": 0.19903497656311503,
+    "cross-eval C->A": 3.496964340325501,
+    "pretrain-a2c": "badad71204ce9041061e1f13bfe6602259e228d92ce2a0198ea56298e7de5d94",
+    "pretrain-dqn": "af930a162af4a3bda5bae774dffce7219df3a06e19b12ba8e7bee401920e035a",
+    "run-a2c-gmm": "766d3b77bc0498f7931ebb2f0abdffef895f30703d14ab00b282b0da5acc97dc",
+    "run-dqn-multi": "32ab7661ff8352fecdeefc40052906ab189b4bc06e38fe6ce6d59ef9c7130631",
+}
+
+
+def array_digest(root):
+    """sha256 over the parameter arrays of every .npz under `root` (names,
+    dtypes, shapes and values), independent of zip timestamps."""
+    h = hashlib.sha256()
+    paths = sorted(os.path.relpath(os.path.join(d, f), root)
+                   for d, _, fs in os.walk(root) for f in fs if f.endswith(".npz"))
+    for rel in paths:
+        with np.load(os.path.join(root, rel)) as data:
+            for key in sorted(data.files):
+                a = data[key]
+                h.update(f"{rel}:{key}:{a.dtype.str}:{a.shape}\0".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest(), paths
+
+
+def pretrained(learner, keys, root):
+    cfg = ExperimentConfig(scenario=scenario_stationary(keys[0], 1),
+                           learner=learner, **PRETRAIN)
+    for key in keys:
+        pretrain_checkpoint(cfg, key, root)
+    return cfg
+
+
+def pinned_values():
+    got = {name: fn() for name, fn in EVALUATIONS.items()}
+    with tempfile.TemporaryDirectory() as d:
+        cfg = pretrained("a2c", ("A", "C"), d)
+        got["cross-eval A->C"] = cross_eval("A", "C", d, cfg, eval_epochs=4)
+        got["cross-eval C->A"] = cross_eval("C", "A", d, cfg, eval_epochs=4)
+        got["pretrain-a2c"] = array_digest(d)[0]
+    with tempfile.TemporaryDirectory() as d:
+        pretrained("dqn", ("C",), d)
+        got["pretrain-dqn"] = array_digest(d)[0]
+    for name, case in (("run-a2c-gmm", "straggler-a2c-multi-gmm"),
+                       ("run-dqn-multi", "straggler-dqn-multi-multi")):
+        with tempfile.TemporaryDirectory() as d:
+            cfg = CASES[case]()
+            cfg.out_dir = d
+            run_experiment(cfg)
+            got[name] = array_digest(d)[0]
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATIONS))
+def test_frozen_policy_evaluation_unchanged(name):
+    assert EVALUATIONS[name]() == PINNED[name]
+
+
+def test_safeguard_engages_in_evaluation():
+    assert PINNED["straggler-safeguard"] != PINNED["straggler-unguarded"]
+
+
+def test_cross_eval_unchanged(tmp_path):
+    cfg = pretrained("a2c", ("A", "C"), str(tmp_path))
+    assert cross_eval("A", "C", str(tmp_path), cfg, eval_epochs=4) == PINNED["cross-eval A->C"]
+    assert cross_eval("C", "A", str(tmp_path), cfg, eval_epochs=4) == PINNED["cross-eval C->A"]
+
+
+@pytest.mark.parametrize("learner, keys, files", [
+    ("a2c", ("A", "C"), ["A/actor.npz", "A/critic.npz", "C/actor.npz", "C/critic.npz"]),
+    ("dqn", ("C",), ["C/qnet.npz"]),
+], ids=["a2c", "dqn"])
+def test_pretrained_checkpoint_arrays_unchanged(learner, keys, files, tmp_path):
+    pretrained(learner, keys, str(tmp_path))
+    digest, paths = array_digest(str(tmp_path))
+    assert paths == files
+    assert digest == PINNED[f"pretrain-{learner}"]
+
+
+@pytest.mark.parametrize("name, case, files", [
+    ("run-a2c-gmm", "straggler-a2c-multi-gmm",
+     ["detector.npz"] + [f"experts/env_{i}/{n}.npz" for i in range(3)
+                         for n in ("actor", "critic")]),
+    ("run-dqn-multi", "straggler-dqn-multi-multi",
+     [f"experts/env_{i}/qnet.npz" for i in range(3)]),
+], ids=["a2c-gmm", "dqn-multi"])
+def test_run_checkpoint_arrays_unchanged(name, case, files, tmp_path):
+    cfg = CASES[case]()
+    cfg.out_dir = str(tmp_path)
+    run_experiment(cfg)
+    digest, paths = array_digest(str(tmp_path))
+    assert paths == files
+    assert digest == PINNED[name]
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
@@ -125,3 +270,7 @@ if __name__ == "__main__":
         for name in ARTIFACTS:
             sys.stdout.write(f'        "{name}": "{got[name]}",\n')
         sys.stdout.write("    },\n")
+    sys.stdout.write("PINNED = {\n")
+    for name, value in pinned_values().items():
+        sys.stdout.write(f"    {name!r}: {value!r},\n")
+    sys.stdout.write("}\n")
