@@ -7,12 +7,13 @@ to zero. Batches are on-policy: a batch object can be consumed exactly once.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, UsageError
-from .nets import Adam
+from .nets import Adam, save_net
 
 
 def compute_gae(rewards, values, gamma, lam):
@@ -73,9 +74,8 @@ def entropy_of(probs):
 class A2cLearner:
     """Actor-critic learner; actor must have a softmax head, critic identity."""
 
-    def __init__(self, actor, critic, gamma, lam=0.95, lr=0.001, critic_lr=None,
-                 entropy_start=0.1, entropy_epochs=5000, weight_decay=1e-4,
-                 normalize_advantages=True):
+    def __init__(self, actor, critic, gamma, lam=0.95, lr=0.001, entropy_start=0.1,
+                 entropy_epochs=5000, weight_decay=1e-4, normalize_advantages=True):
         if actor.head != "softmax":
             raise UsageError("actor needs a softmax head")
         if critic.head != "identity":
@@ -88,14 +88,14 @@ class A2cLearner:
         self.entropy_epochs = entropy_epochs
         self.normalize_advantages = normalize_advantages
         self.actor_opt = Adam(actor.parameters(), lr=lr, weight_decay=weight_decay)
-        self.critic_opt = Adam(critic.parameters(),
-                               lr=critic_lr if critic_lr is not None else lr,
-                               weight_decay=weight_decay)
+        self.critic_opt = Adam(critic.parameters(), lr=lr, weight_decay=weight_decay)
         self.updates = 0
 
-    @property
-    def n_actions(self):
-        return self.actor.out_dim
+    def save(self, directory):
+        """Checkpoint `actor.npz` and `critic.npz` into `directory`."""
+        os.makedirs(directory, exist_ok=True)
+        save_net(self.actor, os.path.join(directory, "actor.npz"))
+        save_net(self.critic, os.path.join(directory, "critic.npz"))
 
     def entropy_coef(self, epoch):
         """Linear anneal from entropy_start to exactly 0 at entropy_epochs."""
@@ -107,9 +107,6 @@ class A2cLearner:
         """Sample an action from the current policy."""
         probs = self.actor.forward(obs)
         return int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
-
-    def act_greedy(self, obs):
-        return int(np.argmax(self.actor.forward(obs)))
 
     def action_probs(self, obs):
         return self.actor.forward(obs)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,8 @@ MAX_BUFFER_S = 25.0
 DEFAULT_MU = 4.3
 QUALITY_PER_KBPS = 0.01  # q in units of kbps/100
 HISTORY_K = 9
+# normalization of `AbrEnv.workload_features` when appended to observations
+FEATURE_SCALES = (2000.0, 600.0, 2000.0, 600.0)
 
 
 def qoe(q_t, q_prev, size, bandwidth, buffer_s, mu):
@@ -222,7 +224,6 @@ class AbrSession:
         self.buffer_s = 0.0
         self.prev_level = 0
         self.clock_s = 0.0
-        self.rebuffer_total = 0.0
         self.rows = []
 
     @property
@@ -265,7 +266,6 @@ class AbrSession:
         q = self.spec.bitrates_kbps[level] * QUALITY_PER_KBPS
         q_prev = self.spec.bitrates_kbps[self.prev_level] * QUALITY_PER_KBPS
         chunk_qoe = q - abs(q - q_prev) - self.mu * rebuffer
-        self.rebuffer_total += rebuffer
         info = {
             "chunk": self.chunk,
             "level": level,
@@ -383,7 +383,6 @@ class AbrStepResult:
     obs: np.ndarray
     reward: float
     done: bool          # session boundary
-    controller: str
     stats: dict
 
 
@@ -399,7 +398,7 @@ class AbrEnv:
 
     def __init__(self, group, spec=None, mu=DEFAULT_MU, seed=0, guard=None,
                  session_trace_s=1600, history_k=HISTORY_K,
-                 max_buffer_s=MAX_BUFFER_S, feature_scales=(2000.0, 600.0, 2000.0, 600.0)):
+                 max_buffer_s=MAX_BUFFER_S):
         self.group = group
         self.spec = spec if spec is not None else VideoSpec.synth(seed=0)
         self.mu = mu
@@ -408,7 +407,6 @@ class AbrEnv:
         self.session_trace_s = session_trace_s
         self.history_k = history_k
         self.max_buffer_s = max_buffer_s
-        self.feature_scales = np.asarray(feature_scales)
         self._tput_window = []  # cross-session throughput history for detection
         self.session = None
         self._new_session()
@@ -475,7 +473,7 @@ class AbrEnv:
         if done:
             self._new_session()
         return AbrStepResult(self.observe(observed_buffer if not done else None),
-                             reward, done, "agent", stats)
+                             reward, done, stats)
 
     def workload_features(self):
         """Mean/std of measured throughput over short and long windows."""

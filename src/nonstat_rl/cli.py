@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,10 +29,13 @@ from .harness import (ExperimentConfig, abr_defaults, aggregate_boxstats,
                       scenario_rare_reoccur, scenario_stationary)
 
 
-def _build_scenario(args, t_c):
+def _build_scenario(args, env, t_c):
     t_sw = args.t_sw if args.t_sw else int(round(args.t_sw_mult * t_c))
     name = args.scenario
     if name == "I":
+        if env == "abr":
+            return scenario_cyclic(t_sw, keys=("UG1", "UG2", "UG3", "UG4", "UG5"),
+                                   cycles=args.cycles)
         return scenario_cyclic(t_sw, cycles=args.cycles)
     if name == "II":
         return scenario_new_workload(t_sw)
@@ -49,32 +52,30 @@ def _build_scenario(args, t_c):
 
 def _cmd_run(args):
     if args.config:
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(json.load(fh))
-        cfg.seed = args.seed
-        cfg.out_dir = args.out_dir
+        try:
+            with open(args.config) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from None
+        cfg = replace(ExperimentConfig.from_json(obj), seed=args.seed,
+                      out_dir=args.out_dir)
     else:
         if args.env == "abr":
             base = abr_defaults(scenario_stationary("UG1", 1))
         else:
             base = ExperimentConfig(scenario=scenario_stationary("A", 1))
         t_c = args.t_c or base.t_c
-        cfg = ExperimentConfig(
-            scenario=_build_scenario(args, t_c), env=args.env,
+        overrides = {name: getattr(args, name) for name in (
+            "episode_len", "lr", "gamma", "entropy_start", "entropy_epochs",
+            "reward_scale", "guard_anneal_epochs") if getattr(args, name) is not None}
+        cfg = replace(
+            base, scenario=_build_scenario(args, args.env, t_c), env=args.env,
             learner=args.learner, expert_mode=args.expert_mode,
             buffer=args.buffer, workload_info=args.workload_info,
             safeguard=not args.no_safeguard, detector=args.detector,
             label_noise=args.label_noise, seed=args.seed, out_dir=args.out_dir,
-            t_c=t_c,
+            t_c=t_c, **overrides,
         )
-        for name in ("episode_len", "lr", "gamma", "entropy_start",
-                     "entropy_epochs", "reward_scale", "guard_anneal_epochs"):
-            setattr(cfg, name, getattr(base, name) if getattr(args, name, None) is None
-                    else getattr(args, name))
-        if cfg.env == "abr" and args.scenario == "I":
-            cfg.scenario = scenario_cyclic(args.t_sw or cfg.t_c,
-                                           keys=("UG1", "UG2", "UG3", "UG4", "UG5"),
-                                           cycles=args.cycles)
         if args.paper_scale:
             cfg = paper_scale(cfg)
     summary = run_experiment(cfg)

@@ -6,11 +6,12 @@ reward magnitudes differ by orders of magnitude.
 from __future__ import annotations
 
 import bisect
+import os
 
 import numpy as np
 
 from .errors import DivergenceError
-from .nets import Adam
+from .nets import Adam, clone_net, save_net
 
 
 def polyak_update(target_params, online_params, alpha):
@@ -41,7 +42,7 @@ class DqnLearner:
     def __init__(self, qnet, gamma, lr=0.001, polyak_alpha=0.01, batch_size=32,
                  random_epochs=1000, decay_epochs=5000, weight_decay=1e-4):
         self.online = qnet
-        self.target = qnet.clone()
+        self.target = clone_net(qnet)
         self.gamma = gamma
         self.polyak_alpha = polyak_alpha
         self.batch_size = batch_size
@@ -52,6 +53,11 @@ class DqnLearner:
     @property
     def n_actions(self):
         return self.online.out_dim
+
+    def save(self, directory):
+        """Checkpoint the online net as `qnet.npz` into `directory`."""
+        os.makedirs(directory, exist_ok=True)
+        save_net(self.online, os.path.join(directory, "qnet.npz"))
 
     def epsilon(self, epoch):
         return self.schedule.value(epoch)

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -147,29 +146,23 @@ class GmmDetector:
                 self._pending_count = 0
         return self._reported
 
-    def to_bytes(self):
-        meta = {"n_components": self.n_components, "dwell": self.dwell,
-                "seed": self.seed, "degenerate": self.degenerate}
-        buf = io.BytesIO()
-        np.savez(buf, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 means=self.means, variances=self.variances, weights=self.weights)
-        return buf.getvalue()
-
     def save(self, path):
         if not self.fitted:
             raise UsageError("cannot save an unfitted detector")
+        meta = {"n_components": self.n_components, "dwell": self.dwell,
+                "seed": self.seed, "degenerate": self.degenerate}
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                     means=self.means, variances=self.variances, weights=self.weights)
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            data = np.load(io.BytesIO(fh.read()))
-        meta = json.loads(bytes(data["meta"]).decode())
-        det = cls(meta["n_components"], dwell=meta["dwell"], seed=meta["seed"])
-        det.means = data["means"]
-        det.variances = data["variances"]
-        det.weights = data["weights"]
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            det = cls(meta["n_components"], dwell=meta["dwell"], seed=meta["seed"])
+            det.means = data["means"]
+            det.variances = data["variances"]
+            det.weights = data["weights"]
         det.degenerate = meta["degenerate"]
         det.fitted = True
         det._reset_readout()
@@ -185,7 +178,6 @@ def _logsumexp(a):
 class ExpertRecord:
     learner: object
     exploration_epochs: int = 0
-    epochs_trained: int = 0
 
 
 class ExpertManager:
@@ -227,25 +219,15 @@ class ExpertManager:
         self.active_index = env_index
         return rec
 
-    def active(self):
-        if self.active_index is None:
-            raise UsageError("no environment signalled yet")
-        return self.records[self.active_index]
-
-    def note_epoch(self, env_index=None):
-        """Advance the active environment's exploration/training counters."""
-        idx = self.active_index if env_index is None else env_index
-        rec = self.records[idx]
-        rec.epochs_trained += 1
+    def note_epoch(self):
+        """Advance the active environment's exploration counter."""
+        rec = self.records[self.active_index]
         if rec.exploration_epochs < self.exploration_span:
             rec.exploration_epochs += 1
 
     def exploration_complete(self, env_index):
         rec = self.records.get(env_index)
         return rec is not None and rec.exploration_epochs >= self.exploration_span
-
-    def all_explored(self, env_indices):
-        return all(self.exploration_complete(i) for i in env_indices)
 
 
 @dataclass

@@ -6,6 +6,11 @@ A run is driven by an `ExperimentConfig` and produces a `RunSummary` plus
 and per-environment expert checkpoints. Identical config + seed gives
 byte-identical outputs.
 
+Training runs, oracle runs, checkpoint pretraining and frozen-policy
+evaluation all go through one loop, `_loop`. What differs between the two
+case studies lives in one class each (`_Straggler`, `_Abr`); what differs
+between the learners in one class each (`_A2c`, `_Dqn`).
+
 Default sizes are desk scale: the paper-scale epoch budgets shrink by
 roughly 25-50x so a full scenario finishes in minutes on one core, while
 every schedule keeps its shape (switch periods expressed in units of the
@@ -18,7 +23,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,8 +33,8 @@ from .a2c import A2cLearner, EpisodeBatch, Trajectory
 from .dqn import DqnLearner, RewardScaler
 from .errors import ConfigError, DivergenceError
 from .framework import ExpertManager, GmmDetector, SafetyMonitor, augment_observation
-from .nets import DeepSetsEncoder, Mlp
-from .replay import Experience, make_buffer
+from .nets import DeepSetsEncoder, Mlp, load_net
+from .replay import STRATEGIES, Experience, make_buffer
 from .stats import BoxStats
 
 # --------------------------------------------------------------------------
@@ -114,9 +119,15 @@ def scenario_fastswitch(epochs, name="FastSwitch"):
 # --------------------------------------------------------------------------
 # experiment config
 
+_EXPERT_MODES = ("single", "multi", "oracle")
+_DETECTORS = ("truth", "gmm")
+
 
 @dataclass
 class ExperimentConfig:
+    """Everything a run reads. Checked once, when built (or `replace`d):
+    a bad value raises ConfigError here rather than deep inside a run."""
+
     scenario: Scenario
     env: str = "straggler"              # straggler | abr
     learner: str = "a2c"                # a2c | dqn
@@ -132,7 +143,6 @@ class ExperimentConfig:
     # schedule scale
     t_c: int = 120                      # convergence span = one-time exploration span
     episode_len: int = 48
-    episodes_per_update: int = 1
 
     # learner hyperparameters
     lr: float = 0.02
@@ -171,6 +181,27 @@ class ExperimentConfig:
     detector_warmup_epochs: int = 6
     detector_components: int = 0        # 0 -> one per scenario workload
 
+    def __post_init__(self):
+        for name, valid in (("env", _CASES), ("learner", _LEARNERS),
+                            ("expert_mode", _EXPERT_MODES), ("buffer", STRATEGIES),
+                            ("detector", _DETECTORS)):
+            value = getattr(self, name)
+            if value not in valid:
+                raise ConfigError(f"unknown {name} {value!r} (expected one of "
+                                  f"{', '.join(valid)})")
+        presets = _CASES[self.env].presets
+        for key in self.scenario.keys:
+            if key not in presets:
+                raise ConfigError(f"scenario workload {key!r} is not among the "
+                                  f"{self.env} presets ({', '.join(presets)})")
+        for name in ("t_c", "episode_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.label_noise <= 1.0:
+            raise ConfigError(f"label_noise must be in [0, 1], got {self.label_noise}")
+        if self.expert_mode == "oracle" and (self.detector != "truth" or self.label_noise > 0):
+            raise ConfigError("oracle mode requires clean ground-truth labels")
+
     def to_json(self):
         d = asdict(self)
         d["scenario"] = self.scenario.to_json()
@@ -180,6 +211,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj):
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        if "scenario" not in obj:
+            raise ConfigError("config has no scenario")
         obj = dict(obj)
         obj["scenario"] = Scenario.from_json(obj["scenario"])
         for k in ("phi_widths", "rho_hidden", "abr_hidden"):
@@ -205,13 +241,7 @@ def abr_defaults(scenario, **overrides):
 
 def paper_scale(cfg):
     """The paper's full-size epoch budgets (hours-to-days of compute)."""
-    if cfg.env == "straggler":
-        return replace(cfg, t_c=6000, episode_len=128, lr=0.001,
-                       entropy_epochs=5000, eps_random_epochs=1000,
-                       eps_decay_epochs=5000, episodes_per_update=8)
-    return replace(cfg, t_c=3000, episode_len=490, lr=0.001,
-                   entropy_epochs=2000, guard_anneal_epochs=2000,
-                   episodes_per_update=8)
+    return replace(cfg, **_CASES[cfg.env].paper_scale)
 
 
 # --------------------------------------------------------------------------
@@ -221,120 +251,283 @@ def paper_scale(cfg):
 @dataclass
 class RunSummary:
     config: ExperimentConfig
-    per_workload: dict                  # key -> BoxStats over post-convergence epochs
-    epoch_metric: list
-    epoch_workload: list
-    epoch_detected: list
-    epoch_controller: list
-    training_log: list                  # per-epoch routing audit
-    post_convergence_from: int          # first epoch with every workload explored
+    per_workload: dict = field(default_factory=dict)  # key -> BoxStats, post-convergence
+    epoch_metric: list = field(default_factory=list)
+    epoch_workload: list = field(default_factory=list)
+    epoch_detected: list = field(default_factory=list)
+    epoch_controller: list = field(default_factory=list)
+    training_log: list = field(default_factory=list)  # per-epoch routing audit
+    post_convergence_from: int = 0      # first epoch with every workload explored
     explored_at: dict = field(default_factory=dict)  # label -> completion epoch
     epoch_rebuffer: list = field(default_factory=list)  # real rebuffer s (abr)
     diverged: bool = False
     wall_clock_s: float = 0.0
     experts: dict = field(default_factory=dict)   # label -> learner (in memory)
-    out_dir: str = ""
 
-    def metric_values(self, workload, post_convergence=True, own_exploration_only=False):
-        """Per-epoch metrics for one workload.
-
-        The default filter starts once *every* workload has finished its
-        exploration span (the red-box rule). With `own_exploration_only`
-        the filter instead excludes only the workload's own exploration
-        span, which stays well-defined when delayed exploration (e.g.
-        under label noise) outlasts a workload's final dwell.
-        """
-        if not post_convergence:
-            lo = 0
-        elif own_exploration_only:
-            label = self.config.scenario.label_of[workload]
-            done = self.explored_at.get(label)
-            lo = len(self.epoch_metric) if done is None else done + 1
-        else:
-            lo = self.post_convergence_from
+    def metric_values(self, workload):
+        """Per-epoch metrics for one workload, from the epoch on which *every*
+        workload has finished its exploration span (the red-box rule)."""
+        lo = self.post_convergence_from
         return [m for e, (m, w) in enumerate(zip(self.epoch_metric, self.epoch_workload))
                 if w == workload and e >= lo and m is not None]
 
 
 # --------------------------------------------------------------------------
-# environment/learner wiring
+# case studies: what the loop needs to know about an environment
 
 
-def make_env(cfg, seed):
-    if cfg.env == "straggler":
-        key = cfg.scenario.workload_at(0)[0]
-        return st.StragglerSim(st.WORKLOAD_PRESETS[key], n_servers=cfg.n_servers,
-                               seed=seed, safeguard_enabled=cfg.safeguard)
-    if cfg.env == "abr":
-        key = cfg.scenario.workload_at(0)[0]
+class _Case:
+    """One case study: its environment (`self.env`), safeguard, nets and
+    epoch metric.
+
+    Subclasses set `presets` (workload key -> preset), `n_actions`,
+    `step_ms` (simulated time per window), `feature_scales` and
+    `paper_scale` (config overrides), and implement `start_epoch(key,
+    epoch)`, `decide(agent_act)` -> (executed action, controller),
+    `_record(step_result)` -> session end, `clock_ms()`, `end_epoch()` ->
+    (epoch metric, rebuffer seconds) and `net(head, out, rng)`.
+    """
+
+    def __init__(self, cfg, env):
+        self.cfg = cfg
+        self.env = env
+        self.width = env.obs_dim + (len(self.feature_scales) if cfg.workload_info else 0)
+
+    def _augment(self, obs, feats):
+        return augment_observation(obs, feats, self.cfg.workload_info, self.feature_scales)
+
+    def observe(self):
+        return self._augment(self.env.observe(), self.env.workload_features())
+
+    def step(self, action):
+        """(reward, next observation, session end, workload features)."""
+        res = self.env.step(action)
+        done = self._record(res)
+        feats = self.env.workload_features()
+        return res.reward, self._augment(res.obs, feats), done, feats
+
+
+class _Straggler(_Case):
+    """Hedging proxy: per-server queues feed DeepSets nets; the epoch metric
+    is the p95 job latency; the `SafetyMonitor` on queue length hands
+    control to never-hedging."""
+
+    presets = st.WORKLOAD_PRESETS
+    n_actions = len(st.TIMEOUTS_MS)
+    step_ms = st.WINDOW_MS
+    feature_scales = st.FEATURE_SCALES
+    paper_scale = dict(t_c=6000, episode_len=128, lr=0.001, entropy_epochs=5000,
+                       eps_random_epochs=1000, eps_decay_epochs=5000)
+
+    def __init__(self, cfg, seed, guard_rng=None):
+        """`guard_rng` is unused: the monitor draws nothing."""
+        super().__init__(cfg, st.StragglerSim(
+            self.presets[cfg.scenario.workload_at(0)[0]], n_servers=cfg.n_servers,
+            seed=seed, safeguard_enabled=cfg.safeguard))
+        self.monitor = SafetyMonitor() if cfg.safeguard else None
+        self._latencies = []
+
+    def net(self, head, out, rng):
+        cfg = self.cfg
+        return DeepSetsEncoder(2, self.width - 2 * cfg.n_servers, out,
+                               phi_widths=cfg.phi_widths, rho_hidden=cfg.rho_hidden,
+                               head=head, n_set=cfg.n_servers, rng=rng)
+
+    def start_epoch(self, key, epoch):
+        self.env.set_workload(self.presets[key])
+
+    def decide(self, agent_act):
+        """The agent acts only while the monitor leaves it in control."""
+        sim = self.env
+        controller = ("agent" if self.monitor is None
+                      else self.monitor.step(sim.last_window_max_queue, t=sim.now))
+        if controller == "default":
+            return st.default_policy_action(), controller
+        return agent_act(), controller
+
+    def _record(self, res):
+        self._latencies.extend(res.stats["latencies"])
+        return False
+
+    def clock_ms(self):
+        return self.env.now
+
+    def end_epoch(self):
+        lat, self._latencies = self._latencies, []
+        return (st.nearest_rank(lat, 95) if lat else None), 0.0
+
+
+class _Abr(_Case):
+    """Adaptive bitrate: back-to-back sessions, an Mlp over chunk history,
+    the mean chunk QoE as epoch metric. Given a `guard_rng` (training runs)
+    and `cfg.safeguard`, it owns the `FakeReplayGuard`."""
+
+    presets = abr_mod.USER_GROUPS
+    n_actions = len(abr_mod.BITRATES_KBPS)
+    step_ms = abr_mod.CHUNK_S * 1000.0    # playback time per chunk
+    feature_scales = abr_mod.FEATURE_SCALES
+    paper_scale = dict(t_c=3000, episode_len=490, lr=0.001, entropy_epochs=2000,
+                       guard_anneal_epochs=2000)
+
+    def __init__(self, cfg, seed, guard_rng=None):
         guard = None
-        if cfg.safeguard:
+        if cfg.safeguard and guard_rng is not None:
             guard = abr_mod.FakeReplayGuard(
                 cap=cfg.guard_cap, calibration_epochs=cfg.guard_calibration_epochs,
                 anneal_epochs=cfg.guard_anneal_epochs)
-            guard.set_epoch(0)
-        return abr_mod.AbrEnv(abr_mod.USER_GROUPS[key], mu=cfg.mu, seed=seed,
-                              guard=guard)
-    raise ConfigError(f"unknown env {cfg.env!r}")
+        super().__init__(cfg, abr_mod.AbrEnv(
+            self.presets[cfg.scenario.workload_at(0)[0]], mu=cfg.mu, seed=seed,
+            guard=guard))
+        self.guard, self.guard_rng = guard, guard_rng
+        self._qoe = []
+        self._rebuffer = 0.0
+
+    def net(self, head, out, rng):
+        return Mlp([self.width, *self.cfg.abr_hidden, out], head=head, rng=rng)
+
+    def start_epoch(self, key, epoch):
+        self.env.set_group(self.presets[key])
+        if self.guard is not None:
+            self.guard.set_epoch(epoch)
+
+    def decide(self, agent_act):
+        """The agent always draws its action; the guard may then override it."""
+        agent_action = agent_act()
+        if self.guard is None:
+            return agent_action, "agent"
+        env = self.env
+        action, _, controller = abr_mod.guard_step(
+            self.guard, env.real_buffer(), agent_action, env.default_action(),
+            self.guard_rng)
+        return action, controller
+
+    def _record(self, res):
+        self._qoe.append(res.stats["qoe"])
+        self._rebuffer += res.stats["rebuffer_s"]
+        return res.done
+
+    def clock_ms(self):
+        return self.env.session.clock_s * 1000.0
+
+    def end_epoch(self):
+        qoe, rebuffer = self._qoe, self._rebuffer
+        self._qoe, self._rebuffer = [], 0.0
+        return (float(np.mean(qoe)) if qoe else None), rebuffer
 
 
-def obs_width(cfg):
-    if cfg.env == "straggler":
-        base = 2 * cfg.n_servers + 14
-    else:
-        base = 2 * abr_mod.HISTORY_K + 3 + len(abr_mod.BITRATES_KBPS)
-    n_feat = (2 if cfg.env == "straggler" else 4) if cfg.workload_info else 0
-    return base + n_feat
+_CASES = {"straggler": _Straggler, "abr": _Abr}
 
 
-def feature_scales(cfg):
-    if cfg.env == "straggler":
-        return st.FEATURE_SCALES
-    return (2000.0, 600.0, 2000.0, 600.0)
+# --------------------------------------------------------------------------
+# learners: how an expert is built, acts and trains
+#
+# `make(cfg, case, rng)` builds an expert from the case's nets;
+# `act(rec, obs, rng)` draws the action of the expert in ExpertRecord `rec`.
+# An instance is one run's training step: `window(rec, label, w, ...)` sees
+# every transition, `end_epoch(rec, obs)` returns the steps it trained on,
+# `explored(label)` runs once an environment has finished its exploration
+# span.
 
 
-def make_learner(cfg, label, seed):
-    rng = np.random.default_rng((seed, label, 0xA11CE))
-    width = obs_width(cfg)
-    if cfg.env == "straggler":
-        tail = width - 2 * cfg.n_servers
-        n_actions = len(st.TIMEOUTS_MS)
-        def net(head, out):
-            return DeepSetsEncoder(2, tail, out, phi_widths=cfg.phi_widths,
-                                   rho_hidden=cfg.rho_hidden, head=head,
-                                   n_set=cfg.n_servers, rng=rng)
-    else:
-        n_actions = len(abr_mod.BITRATES_KBPS)
-        def net(head, out):
-            return Mlp([width, *cfg.abr_hidden, out], head=head, rng=rng)
-    if cfg.learner == "a2c":
-        return A2cLearner(net("softmax", n_actions), net("identity", 1),
+class _A2c:
+    """Agent-controlled windows form on-policy segments (a safeguard
+    hand-off or a session end closes one); one update per epoch."""
+
+    replay = False
+
+    @staticmethod
+    def make(cfg, case, rng):
+        return A2cLearner(case.net("softmax", case.n_actions, rng),
+                          case.net("identity", 1, rng),
                           gamma=cfg.gamma, lam=cfg.lam, lr=cfg.lr,
                           entropy_start=cfg.entropy_start,
                           entropy_epochs=cfg.entropy_epochs,
                           weight_decay=cfg.weight_decay,
                           normalize_advantages=cfg.normalize_advantages)
-    if cfg.learner == "dqn":
-        return DqnLearner(net("identity", n_actions), gamma=cfg.gamma,
+
+    @staticmethod
+    def act(rec, obs, rng):
+        return rec.learner.act(obs, rng)
+
+    def __init__(self, cfg, rng):
+        """`rng` is unused: A2C training draws nothing."""
+        self.reward_scale = cfg.reward_scale
+        self.batch = EpisodeBatch()
+        self.segment = []   # (obs, action, scaled reward) of the open segment
+
+    def _close(self, final_obs, terminal):
+        if self.segment:
+            states, actions, rewards = (np.asarray(c) for c in zip(*self.segment))
+            self.batch.add(Trajectory(states, actions, rewards, final_obs, terminal))
+            self.segment = []
+
+    def window(self, rec, label, w, obs, action, reward, next_obs, done, agent):
+        if agent:
+            self.segment.append((obs, action, reward / self.reward_scale))
+            if done:
+                self._close(next_obs, True)
+        else:
+            self._close(obs, False)
+
+    def end_epoch(self, rec, obs):
+        self._close(obs, False)
+        batch, self.batch = self.batch, EpisodeBatch()
+        n_steps = batch.n_steps()
+        if n_steps > 0:
+            rec.learner.update(batch, schedule_epoch=rec.exploration_epochs)
+        return n_steps
+
+    def explored(self, label):
+        pass
+
+
+class _Dqn:
+    """One replay buffer and one RewardScaler per run, shared by every
+    expert; a minibatch update every `train_every` windows. An
+    environment's reward scale freezes when its exploration ends."""
+
+    replay = True
+
+    @staticmethod
+    def make(cfg, case, rng):
+        return DqnLearner(case.net("identity", case.n_actions, rng), gamma=cfg.gamma,
                           lr=cfg.dqn_lr, polyak_alpha=cfg.polyak_alpha,
                           batch_size=cfg.batch_size,
                           random_epochs=cfg.eps_random_epochs,
                           decay_epochs=cfg.eps_decay_epochs,
                           weight_decay=cfg.weight_decay)
-    raise ConfigError(f"unknown learner {cfg.learner!r}")
+
+    @staticmethod
+    def act(rec, obs, rng):
+        return rec.learner.act(obs, rng, schedule_epoch=rec.exploration_epochs)
+
+    def __init__(self, cfg, rng):
+        sizes = {"large": dict(capacity=cfg.buffer_capacity),
+                 "small": dict(capacity=cfg.small_capacity),
+                 "ltst": dict(long_capacity=cfg.ltst_long_capacity,
+                              short_capacity=cfg.small_capacity),
+                 "multi": dict(capacity_each=cfg.buffer_capacity)}
+        self.buffer = make_buffer(cfg.buffer, **sizes[cfg.buffer])
+        self.scaler = RewardScaler(enabled=cfg.dqn_reward_scaling)
+        self.rng = rng
+        self.train_every = cfg.train_every
+        self.batch_size = cfg.batch_size
+
+    def window(self, rec, label, w, obs, action, reward, next_obs, done, agent):
+        self.buffer.insert(Experience(obs, action, reward, next_obs, done, env_index=label))
+        if not self.scaler.frozen(label):
+            self.scaler.observe(label, reward)
+        if w % self.train_every == 0 and len(self.buffer) >= self.batch_size:
+            rec.learner.train_from(self.buffer, self.rng, self.scaler)
+
+    def end_epoch(self, rec, obs):
+        return 0
+
+    def explored(self, label):
+        self.scaler.freeze(label)
 
 
-def _buffer_for(cfg):
-    if cfg.buffer == "large":
-        return make_buffer("large", capacity=cfg.buffer_capacity)
-    if cfg.buffer == "small":
-        return make_buffer("small", capacity=cfg.small_capacity)
-    if cfg.buffer == "ltst":
-        return make_buffer("ltst", long_capacity=cfg.ltst_long_capacity,
-                           short_capacity=cfg.small_capacity)
-    if cfg.buffer == "multi":
-        return make_buffer("multi", capacity_each=cfg.buffer_capacity)
-    raise ConfigError(f"unknown buffer strategy {cfg.buffer!r}")
+_LEARNERS = {"a2c": _A2c, "dqn": _Dqn}
 
 
 # --------------------------------------------------------------------------
@@ -387,212 +580,129 @@ class _Detector:
             self.gmm.fit(np.asarray(self.history))
 
 
+def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
+    """Run `cfg.scenario` through `case`, one epoch per scenario step.
+
+    Per epoch: set the workload, detect the environment and route to its
+    expert in `experts` (an ExpertManager). Per window: the case's
+    safeguard or the expert (`act(rec, obs, act_rng)`) picks the action,
+    the environment steps, the detector sees the window's workload features
+    and the training step `train` sees the transition. A frozen run
+    (`train=None`) never changes an expert and has nothing to converge:
+    every epoch counts as post-convergence.
+
+    Returns (RunSummary, per-window detection rows, detector); the rows are
+    kept only when `cfg.out_dir` is set.
+    """
+    scenario = cfg.scenario
+    detector = _Detector(cfg, len(scenario.keys), noise_rng)
+    keep_windows = bool(cfg.out_dir)
+    windows = []
+    s = RunSummary(cfg)
+    obs = case.observe()
+
+    for epoch in range(scenario.total_epochs):
+        wkey, true_label = scenario.workload_at(epoch)
+        case.start_epoch(wkey, epoch)
+        detector.maybe_fit(epoch)
+        label = detector.epoch_label(true_label)
+        rec = experts.signal(label)
+        default_windows = n_steps = 0
+        try:
+            for w in range(cfg.episode_len):
+                action, controller = case.decide(lambda: act(rec, obs, act_rng))
+                reward, next_obs, done, feats = case.step(action)
+                detected, post = detector.observe_window(feats)
+                if keep_windows:
+                    windows.append((case.clock_ms(), post, detected, controller))
+                agent = controller == "agent"
+                if not agent:
+                    default_windows += 1
+                if train is not None:
+                    train.window(rec, label, w, obs, action, reward, next_obs, done,
+                                 agent)
+                obs = next_obs
+            if train is not None:
+                n_steps = train.end_epoch(rec, obs)
+        except DivergenceError:
+            s.diverged = True
+
+        if train is not None:
+            experts.note_epoch()
+        if experts.exploration_complete(label):
+            if train is not None:
+                train.explored(label)
+            s.explored_at.setdefault(label, epoch)
+
+        metric, rebuffer = case.end_epoch()
+        s.epoch_metric.append(metric)
+        s.epoch_rebuffer.append(rebuffer)
+        s.epoch_workload.append(wkey)
+        s.epoch_detected.append(label)
+        s.epoch_controller.append("default" if default_windows > cfg.episode_len // 2
+                                  else "agent")
+        s.training_log.append({
+            "epoch": epoch, "workload_true": wkey, "label_used": label,
+            "expert": label if cfg.expert_mode != "single" else 0,
+            "n_steps": n_steps, "controller_windows_default": default_windows,
+        })
+        if s.diverged:
+            break
+
+    if train is not None:
+        done = [s.explored_at.get(scenario.label_of[k]) for k in scenario.keys]
+        s.post_convergence_from = (scenario.total_epochs if None in done
+                                   else max(done) + 1)
+    s.experts = {i: r.learner for i, r in experts.records.items()}
+    for key in scenario.keys:
+        vals = s.metric_values(key)
+        if vals:
+            s.per_workload[key] = BoxStats.from_values(vals)
+    return s, windows, detector
+
+
 def _pretrain_oracle_experts(cfg):
-    """One converged expert per scenario workload, trained on a stationary
-    run with the same settings (this is exactly a plain single-workload
-    training run, reused as the oracle baseline)."""
-    experts = {}
+    """An ExpertManager holding one converged expert per scenario workload,
+    each trained on a stationary run with the same settings (exactly a plain
+    single-workload training run, reused as the oracle baseline)."""
+    pretrained = {}
     for key in cfg.scenario.keys:
+        label = cfg.scenario.label_of[key]
         sub = replace(
             cfg, scenario=scenario_stationary(key, cfg.t_c),
             expert_mode="multi", detector="truth", label_noise=0.0,
-            out_dir="", seed=cfg.seed + 7919 * (cfg.scenario.label_of[key] + 1),
+            out_dir="", seed=cfg.seed + 7919 * (label + 1),
         )
-        summary = run_experiment(sub)
-        experts[cfg.scenario.label_of[key]] = summary.experts[0]
-    return experts
+        pretrained[label] = run_experiment(sub).experts[0]
+    manager = ExpertManager(pretrained.__getitem__, cfg.t_c, mode="multi")
+    for label in pretrained:
+        manager.signal(label).exploration_epochs = cfg.t_c
+    return manager
 
 
 def run_experiment(cfg):
-    """Execute the full control loop; returns a RunSummary (and writes CSV
-    artifacts when cfg.out_dir is set)."""
+    """Train (or, in oracle mode, run pretrained frozen experts) through
+    the control loop; returns a RunSummary (and writes CSV artifacts when
+    cfg.out_dir is set)."""
     t_start = time.perf_counter()
-    scenario = cfg.scenario
-    seed_root = np.random.SeedSequence(cfg.seed)
-    _, s_act, s_guard, s_noise, s_dqn = [
-        np.random.default_rng(s) for s in seed_root.spawn(5)
+    _, s_act, s_guard, s_noise, s_train = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(5)
     ]
-    env = make_env(cfg, cfg.seed)
-    detector = _Detector(cfg, len(scenario.keys), s_noise)
-    monitor = SafetyMonitor() if (cfg.env == "straggler" and cfg.safeguard) else None
-
-    oracle = cfg.expert_mode == "oracle"
-    if oracle:
-        if cfg.detector != "truth" or cfg.label_noise > 0:
-            raise ConfigError("oracle mode requires clean ground-truth labels")
-        pretrained = _pretrain_oracle_experts(cfg)
-        manager = ExpertManager(lambda idx: pretrained[idx], cfg.t_c, mode="multi")
-        for label in pretrained:
-            rec = manager.signal(label)
-            rec.exploration_epochs = cfg.t_c
+    case = _CASES[cfg.env](cfg, cfg.seed, guard_rng=s_guard)
+    learner = _LEARNERS[cfg.learner]
+    if cfg.expert_mode == "oracle":
+        experts, train = _pretrain_oracle_experts(cfg), None
     else:
-        manager = ExpertManager(lambda idx: make_learner(cfg, idx, cfg.seed),
-                                cfg.t_c,
-                                mode="single" if cfg.expert_mode == "single" else "multi")
-
-    buffer = _buffer_for(cfg) if cfg.learner == "dqn" else None
-    scaler = RewardScaler(enabled=cfg.dqn_reward_scaling) if cfg.learner == "dqn" else None
-
-    f_scales = feature_scales(cfg)
-    is_straggler = cfg.env == "straggler"
-    obs = augment_observation(env.observe(), env.workload_features(),
-                              cfg.workload_info, f_scales)
-
-    epoch_metric, epoch_workload, epoch_detected, epoch_controller = [], [], [], []
-    epoch_rebuffer = []
-    training_log = []
-    detection_rows = []
-    explored_at = {}
-    diverged = False
-
-    total = scenario.total_epochs
-    for epoch in range(total):
-        wkey, true_label = scenario.workload_at(epoch)
-        if is_straggler:
-            env.set_workload(st.WORKLOAD_PRESETS[wkey])
-        else:
-            env.set_group(abr_mod.USER_GROUPS[wkey])
-            if env.guard is not None:
-                env.guard.set_epoch(epoch)
-        detector.maybe_fit(epoch)
-        label = detector.epoch_label(true_label)
-        rec = manager.signal(label)
-        learner = rec.learner
-
-        batch = EpisodeBatch()
-        seg_obs, seg_act, seg_rew = [], [], []
-        epoch_latencies = []
-        epoch_qoe = []
-        rebuffer_s = 0.0
-        default_windows = 0
-
-        def close_segment(final_obs, terminal):
-            if seg_obs:
-                batch.add(Trajectory(np.asarray(seg_obs), np.asarray(seg_act),
-                                     np.asarray(seg_rew), final_obs, terminal))
-                seg_obs.clear()
-                seg_act.clear()
-                seg_rew.clear()
-
-        try:
-            for w in range(cfg.episode_len):
-                if is_straggler:
-                    controller = "agent"
-                    if monitor is not None:
-                        controller = monitor.step(env.last_window_max_queue,
-                                                  t=env.now)
-                    if controller == "default":
-                        action = st.default_policy_action()
-                    elif cfg.learner == "a2c":
-                        action = learner.act(obs, s_act)
-                    else:
-                        action = learner.act(obs, s_act,
-                                             schedule_epoch=rec.exploration_epochs)
-                    res = env.step(action)
-                    reward_raw = res.reward
-                    done = False
-                    epoch_latencies.extend(res.stats["latencies"])
-                else:
-                    if cfg.learner == "a2c":
-                        agent_action = learner.act(obs, s_act)
-                    else:
-                        agent_action = learner.act(obs, s_act,
-                                                   schedule_epoch=rec.exploration_epochs)
-                    if env.guard is not None:
-                        action, _, controller = abr_mod.guard_step(
-                            env.guard, env.real_buffer(), agent_action,
-                            env.default_action(), s_guard)
-                    else:
-                        action, controller = agent_action, "agent"
-                    res = env.step(action)
-                    reward_raw = res.reward
-                    done = res.done
-                    epoch_qoe.append(res.stats["qoe"])
-                    rebuffer_s += res.stats["rebuffer_s"]
-
-                feats = env.workload_features()
-                next_obs = augment_observation(res.obs, feats,
-                                               cfg.workload_info, f_scales)
-                detected, post = detector.observe_window(feats)
-                if cfg.out_dir:
-                    t_now = env.now if is_straggler else env.session.clock_s * 1000.0
-                    detection_rows.append((t_now, post, detected, controller))
-
-                if controller == "agent":
-                    seg_obs.append(obs)
-                    seg_act.append(action)
-                    seg_rew.append(reward_raw / cfg.reward_scale)
-                    if done:
-                        close_segment(next_obs, True)
-                else:
-                    close_segment(obs, False)
-                    default_windows += 1
-
-                if cfg.learner == "dqn":
-                    buffer.insert(Experience(obs, action, reward_raw, next_obs,
-                                             done, env_index=label))
-                    if scaler is not None and not scaler.frozen(label):
-                        scaler.observe(label, reward_raw)
-                    if w % cfg.train_every == 0 and len(buffer) >= cfg.batch_size:
-                        learner.train_from(buffer, s_dqn, scaler)
-                obs = next_obs
-
-            close_segment(obs, False)
-            n_steps = batch.n_steps()
-            if cfg.learner == "a2c" and not oracle and n_steps > 0:
-                learner.update(batch, schedule_epoch=rec.exploration_epochs)
-        except DivergenceError:
-            diverged = True
-
-        if not oracle:
-            manager.note_epoch()
-            if (scaler is not None and manager.exploration_complete(label)
-                    and not scaler.frozen(label)):
-                scaler.freeze(label)
-        if manager.exploration_complete(label) and label not in explored_at:
-            explored_at[label] = epoch
-
-        if is_straggler:
-            metric = (st.nearest_rank(epoch_latencies, 95)
-                      if epoch_latencies else None)
-        else:
-            metric = float(np.mean(epoch_qoe)) if epoch_qoe else None
-        epoch_metric.append(metric)
-        epoch_rebuffer.append(rebuffer_s)
-        epoch_workload.append(wkey)
-        epoch_detected.append(label)
-        epoch_controller.append("default" if default_windows > cfg.episode_len // 2
-                                else "agent")
-        training_log.append({
-            "epoch": epoch, "workload_true": wkey, "label_used": label,
-            "expert": label if cfg.expert_mode != "single" else 0,
-            "n_steps": 0 if (oracle or cfg.learner != "a2c") else batch.n_steps(),
-            "controller_windows_default": default_windows,
-        })
-        if diverged:
-            break
-
-    all_labels = [scenario.label_of[k] for k in scenario.keys]
-    if oracle:
-        post_from = 0
-    else:
-        seen = [e for label in all_labels
-                for e in [explored_at.get(label)] if e is not None]
-        post_from = (max(seen) + 1) if len(seen) == len(all_labels) else total
-
-    summary = RunSummary(cfg, {}, epoch_metric, epoch_workload, epoch_detected,
-                         epoch_controller, training_log, post_from,
-                         explored_at=dict(explored_at),
-                         epoch_rebuffer=epoch_rebuffer, diverged=diverged,
-                         wall_clock_s=time.perf_counter() - t_start,
-                         experts={i: r.learner for i, r in manager.records.items()},
-                         out_dir=cfg.out_dir)
-    for key in scenario.keys:
-        vals = summary.metric_values(key)
-        if vals:
-            summary.per_workload[key] = BoxStats.from_values(vals)
+        experts = ExpertManager(
+            lambda label: learner.make(
+                cfg, case, np.random.default_rng((cfg.seed, label, 0xA11CE))),
+            cfg.t_c, mode=cfg.expert_mode)
+        train = learner(cfg, s_train)
+    summary, windows, detector = _loop(cfg, case, experts, learner.act, s_act,
+                                       s_noise, train)
+    summary.wall_clock_s = time.perf_counter() - t_start
     if cfg.out_dir:
-        _write_artifacts(summary, detection_rows, detector)
+        _write_artifacts(summary, windows, detector)
     return summary
 
 
@@ -616,10 +726,7 @@ def _write_artifacts(summary, detection_rows, detector):
         w = csv.writer(fh)
         w.writerow(["epoch", "t_ms", "workload_true", "workload_detected",
                     "controller", "metric"])
-        if cfg.env == "straggler":
-            epoch_ms = st.WINDOW_MS * cfg.episode_len
-        else:
-            epoch_ms = abr_mod.CHUNK_S * 1000.0 * cfg.episode_len  # playback time
+        epoch_ms = _CASES[cfg.env].step_ms * cfg.episode_len
         for e, (metric, wkey, det, ctl) in enumerate(zip(
                 summary.epoch_metric, summary.epoch_workload,
                 summary.epoch_detected, summary.epoch_controller)):
@@ -640,7 +747,7 @@ def _write_artifacts(summary, detection_rows, detector):
         w = csv.writer(fh)
         w.writerow(["scenario", "workload", "expert_mode", "buffer", "seed",
                     "p1", "p25", "p50", "p75", "p99", "mean"])
-        buf = cfg.buffer if cfg.learner == "dqn" else "-"
+        buf = cfg.buffer if _LEARNERS[cfg.learner].replay else "-"
         for key in cfg.scenario.keys:
             stats = summary.per_workload.get(key)
             if stats is None:
@@ -653,13 +760,7 @@ def _write_artifacts(summary, detection_rows, detector):
                    "post_convergence_from": summary.post_convergence_from}, fh)
 
     for label, learner in summary.experts.items():
-        d = os.path.join(out, "experts", f"env_{label}")
-        os.makedirs(d, exist_ok=True)
-        if isinstance(learner, A2cLearner):
-            learner.actor.save(os.path.join(d, "actor.npz"))
-            learner.critic.save(os.path.join(d, "critic.npz"))
-        elif isinstance(learner, DqnLearner):
-            learner.online.save(os.path.join(d, "qnet.npz"))
+        learner.save(os.path.join(out, "experts", f"env_{label}"))
     if detector.gmm is not None and detector.gmm.fitted:
         detector.gmm.save(os.path.join(out, "detector.npz"))
 
@@ -669,36 +770,18 @@ def _write_artifacts(summary, detection_rows, detector):
 
 
 def evaluate_policy(cfg, policy_fn, workload_key, epochs, seed):
-    """Mean per-epoch tail latency (or mean QoE) of a fixed policy."""
-    sub = replace(cfg, scenario=scenario_stationary(workload_key, epochs), seed=seed)
-    env = make_env(sub, seed)
-    rng = np.random.default_rng(seed + 1)
-    f_scales = feature_scales(sub)
-    obs = augment_observation(env.observe(), env.workload_features(),
-                              sub.workload_info, f_scales)
-    monitor = SafetyMonitor() if (sub.env == "straggler" and sub.safeguard) else None
-    metrics = []
-    for _ in range(epochs):
-        lat, qoes = [], []
-        for _ in range(sub.episode_len):
-            if sub.env == "straggler":
-                controller = ("agent" if monitor is None
-                              else monitor.step(env.last_window_max_queue, t=env.now))
-                action = (st.default_policy_action() if controller == "default"
-                          else policy_fn(obs, rng))
-                res = env.step(action)
-                lat.extend(res.stats["latencies"])
-            else:
-                res = env.step(policy_fn(obs, rng))
-                qoes.append(res.stats["qoe"])
-            obs = augment_observation(res.obs, env.workload_features(),
-                                      sub.workload_info, f_scales)
-        if sub.env == "straggler":
-            if lat:
-                metrics.append(st.nearest_rank(lat, 95))
-        else:
-            metrics.append(float(np.mean(qoes)))
-    return float(np.mean(metrics))
+    """Mean per-epoch tail latency (or mean QoE) of a fixed policy.
+
+    A frozen run of the control loop on one stationary workload:
+    `policy_fn(obs, rng)` is the only expert, the straggler monitor still
+    hands off (with `cfg.safeguard`), the ABR training guard is absent."""
+    sub = replace(cfg, scenario=scenario_stationary(workload_key, epochs), seed=seed,
+                  detector="truth", label_noise=0.0, out_dir="")
+    case = _CASES[sub.env](sub, seed)
+    experts = ExpertManager(lambda label: policy_fn, sub.t_c)
+    summary = _loop(sub, case, experts, lambda rec, obs, rng: rec.learner(obs, rng),
+                    np.random.default_rng(seed + 1), None)[0]
+    return float(np.mean([m for m in summary.epoch_metric if m is not None]))
 
 
 def pretrain_checkpoint(cfg, workload_key, ckpt_dir, seed=None):
@@ -707,19 +790,11 @@ def pretrain_checkpoint(cfg, workload_key, ckpt_dir, seed=None):
                   expert_mode="multi", detector="truth", out_dir="",
                   seed=cfg.seed if seed is None else seed)
     summary = run_experiment(sub)
-    learner = summary.experts[0]
-    d = os.path.join(ckpt_dir, workload_key)
-    os.makedirs(d, exist_ok=True)
-    if isinstance(learner, A2cLearner):
-        learner.actor.save(os.path.join(d, "actor.npz"))
-        learner.critic.save(os.path.join(d, "critic.npz"))
-    else:
-        learner.online.save(os.path.join(d, "qnet.npz"))
+    summary.experts[0].save(os.path.join(ckpt_dir, workload_key))
     return summary
 
 
-def _greedy_policy_from_checkpoint(cfg, ckpt_dir, workload_key):
-    from .nets import load_net
+def _greedy_policy_from_checkpoint(ckpt_dir, workload_key):
     actor_path = os.path.join(ckpt_dir, workload_key, "actor.npz")
     qnet_path = os.path.join(ckpt_dir, workload_key, "qnet.npz")
     path = actor_path if os.path.exists(actor_path) else qnet_path
@@ -736,8 +811,8 @@ def cross_eval(train_key, test_key, ckpt_dir, cfg, eval_epochs=25, seed=1234):
     workload itself; 0 means it is no better than never hedging; below 0 is
     worse than never hedging.
     """
-    policy = _greedy_policy_from_checkpoint(cfg, ckpt_dir, train_key)
-    matched = _greedy_policy_from_checkpoint(cfg, ckpt_dir, test_key)
+    policy = _greedy_policy_from_checkpoint(ckpt_dir, train_key)
+    matched = _greedy_policy_from_checkpoint(ckpt_dir, test_key)
     no_hedge = lambda obs, rng: st.default_policy_action()
     l_policy = evaluate_policy(cfg, policy, test_key, eval_epochs, seed)
     l_matched = evaluate_policy(cfg, matched, test_key, eval_epochs, seed)

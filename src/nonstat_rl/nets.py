@@ -10,7 +10,6 @@ so there is no need for anything faster.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 
@@ -55,10 +54,6 @@ class Mlp:
         self.weights, self.biases = he_uniform_init(self.widths, rng)
         self._cache = None
         self.grads = None
-
-    @property
-    def in_dim(self):
-        return self.widths[0]
 
     @property
     def out_dim(self):
@@ -159,36 +154,9 @@ class Mlp:
                 raise ConfigError("parameter shape mismatch")
             dst[...] = src
 
-    def clone(self):
-        twin = Mlp(self.widths, head=self.head)
-        twin.set_parameters(self.parameters())
-        return twin
-
-    def to_bytes(self):
-        meta = {"kind": "mlp", "widths": self.widths, "head": self.head}
-        buf = io.BytesIO()
-        arrays = {f"p{i}": p for i, p in enumerate(self.parameters())}
-        np.savez(buf, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-        return buf.getvalue()
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def from_bytes(cls, blob):
-        with np.load(io.BytesIO(blob)) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta["kind"] != "mlp":
-                raise ConfigError(f"checkpoint holds a {meta['kind']}, not an mlp")
-            net = cls(meta["widths"], head=meta["head"])
-            net.set_parameters([data[f"p{i}"] for i in range(len(net.parameters()))])
-        return net
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+    def spec(self):
+        """Constructor arguments, as a checkpoint's `meta` entry stores them."""
+        return {"kind": "mlp", "widths": self.widths, "head": self.head}
 
 
 class Adam:
@@ -327,12 +295,9 @@ class DeepSetsEncoder:
         rho_grads = self.rho.backward(g)
         d_joint = self.rho.grad_input
         d_pooled = d_joint[:, : self.embed_dim]
-        self.grad_tail = d_joint[:, self.embed_dim:]
         # the sum pool broadcasts the pooled gradient to every element
         d_emb = np.repeat(d_pooled, n, axis=0)
         phi_grads = self.phi.backward(d_emb)
-        if squeeze:
-            self.grad_tail = self.grad_tail[0]
         self.grads = phi_grads + rho_grads
         return self.grads
 
@@ -372,17 +337,9 @@ class DeepSetsEncoder:
         self.phi.set_parameters(params[:n_phi])
         self.rho.set_parameters(params[n_phi:])
 
-    def clone(self):
-        twin = DeepSetsEncoder(
-            self.elem_dim, self.tail_dim, self.rho.out_dim,
-            phi_widths=self.phi.widths[1:], rho_hidden=self.rho.widths[1:-1],
-            head=self.rho.head, n_set=self.n_set,
-        )
-        twin.set_parameters(self.parameters())
-        return twin
-
-    def to_bytes(self):
-        meta = {
+    def spec(self):
+        """Constructor arguments, as a checkpoint's `meta` entry stores them."""
+        return {
             "kind": "deepsets",
             "elem_dim": self.elem_dim,
             "tail_dim": self.tail_dim,
@@ -392,39 +349,43 @@ class DeepSetsEncoder:
             "head": self.rho.head,
             "n_set": self.n_set,
         }
-        buf = io.BytesIO()
-        arrays = {f"p{i}": p for i, p in enumerate(self.parameters())}
-        np.savez(buf, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-        return buf.getvalue()
 
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
 
-    @classmethod
-    def from_bytes(cls, blob):
-        with np.load(io.BytesIO(blob)) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta["kind"] != "deepsets":
-                raise ConfigError(f"checkpoint holds a {meta['kind']}, not a deepsets net")
-            net = cls(
-                meta["elem_dim"], meta["tail_dim"], meta["out_dim"],
-                phi_widths=tuple(meta["phi_widths"]), rho_hidden=tuple(meta["rho_hidden"]),
-                head=meta["head"], n_set=meta["n_set"],
-            )
-            net.set_parameters([data[f"p{i}"] for i in range(len(net.parameters()))])
-        return net
+# --------------------------------------------------------------------------
+# checkpoints: a net's `spec()` as JSON in a `meta` entry, then its
+# parameters as p0, p1, ... in `parameters()` order
 
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+
+def _build(spec):
+    """A net of the given spec, with placeholder parameters."""
+    if spec["kind"] == "mlp":
+        return Mlp(spec["widths"], head=spec["head"])
+    if spec["kind"] == "deepsets":
+        return DeepSetsEncoder(
+            spec["elem_dim"], spec["tail_dim"], spec["out_dim"],
+            phi_widths=tuple(spec["phi_widths"]), rho_hidden=tuple(spec["rho_hidden"]),
+            head=spec["head"], n_set=spec["n_set"],
+        )
+    raise ConfigError(f"checkpoint holds an unknown net kind {spec['kind']!r}")
+
+
+def clone_net(net):
+    """An independent copy of `net` with equal parameters."""
+    twin = _build(net.spec())
+    twin.set_parameters(net.parameters())
+    return twin
+
+
+def save_net(net, path):
+    arrays = {f"p{i}": p for i, p in enumerate(net.parameters())}
+    meta = np.frombuffer(json.dumps(net.spec()).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=meta, **arrays)
 
 
 def load_net(path):
     """Load either net kind from a checkpoint file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    with np.load(io.BytesIO(blob)) as data:
-        kind = json.loads(bytes(data["meta"]).decode())["kind"]
-    return Mlp.from_bytes(blob) if kind == "mlp" else DeepSetsEncoder.from_bytes(blob)
+    with np.load(path) as data:
+        net = _build(json.loads(bytes(data["meta"]).decode()))
+        net.set_parameters([data[f"p{i}"] for i in range(len(net.parameters()))])
+    return net

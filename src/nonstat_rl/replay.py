@@ -5,7 +5,8 @@ replacement within a ring. The strategies differ in how rings are
 combined:
 
 * ``large``  -- one ring big enough to effectively keep everything
-* ``small``  -- one ring that keeps only recent experience
+* ``small``  -- the same single ring, sized (``small_capacity``) to keep
+  only recent experience
 * ``ltst``   -- long-term + short-term rings, inserted into both and
   sampled half/half
 * ``multi``  -- one ring per environment index, created on first sight
@@ -140,7 +141,7 @@ def _draw(draws, rng):
 
 
 class LargeBuffer:
-    name = "large"
+    """One ring; ``large`` and ``small`` differ only in its capacity."""
 
     def __init__(self, capacity=1_000_000):
         self.ring = Ring(capacity)
@@ -155,22 +156,12 @@ class LargeBuffer:
         return len(self.ring)
 
 
-class SmallBuffer(LargeBuffer):
-    name = "small"
-
-    def __init__(self, capacity=10_000):
-        self.ring = Ring(capacity)
-
-
 class LongTermShortTermBuffer:
     """Insert into both rings; draw half of every batch from each.
 
-    If one ring is empty (only possible before any insert given that both
-    receive every sample, but kept for config variants) the other supplies
-    the full batch. Odd batch sizes give the extra sample to the long ring.
+    Both rings receive every insert, so they are empty or non-empty
+    together. Odd batch sizes give the extra sample to the long ring.
     """
-
-    name = "ltst"
 
     def __init__(self, long_capacity=1_000_000, short_capacity=10_000):
         self.long = Ring(long_capacity)
@@ -182,12 +173,8 @@ class LongTermShortTermBuffer:
         self.short.append(row)
 
     def sample(self, batch, rng):
-        if len(self.long) == 0 and len(self.short) == 0:
-            raise UsageError("sampling from an empty buffer")
         if len(self.long) == 0:
-            return Batch.from_rows(self.short.sample(batch, rng))
-        if len(self.short) == 0:
-            return Batch.from_rows(self.long.sample(batch, rng))
+            raise UsageError("sampling from an empty buffer")
         return _draw([(self.long, batch - batch // 2), (self.short, batch // 2)], rng)
 
     def __len__(self):
@@ -200,8 +187,6 @@ class MultiBuffer:
     The batch remainder is spread round-robin over the lowest environment
     indices so the split is deterministic.
     """
-
-    name = "multi"
 
     def __init__(self, capacity_each=1_000_000):
         self.capacity_each = capacity_each
@@ -228,7 +213,7 @@ class MultiBuffer:
 
 STRATEGIES = {
     "large": LargeBuffer,
-    "small": SmallBuffer,
+    "small": LargeBuffer,
     "ltst": LongTermShortTermBuffer,
     "multi": MultiBuffer,
 }

@@ -38,10 +38,9 @@ class BoxStats:
     @classmethod
     def from_values(cls, values):
         arr = np.sort(np.asarray(values, dtype=np.float64))
-        if arr.size == 0:
-            raise ValueError("box stats of empty sample")
-        pick = lambda p: float(arr[max(0, math.ceil(p / 100.0 * arr.size) - 1)])
-        return cls(pick(1), pick(25), pick(50), pick(75), pick(99),
+        # `nearest_rank` rejects an empty sample; the mean is taken over the
+        # sorted sample, the summation order stored summaries were written with
+        return cls(*(nearest_rank(arr, p) for p in BOX_PERCENTILES),
                    float(arr.mean()), int(arr.size))
 
     def row(self):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -500,13 +500,6 @@ class StragglerSim:
                 self._finish(t, payload)
             else:
                 self._hedge(t, payload)
-
-    def dump_event_log(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_ms", "event", "job_id", "server", "detail"])
-            for t, event, jid, server, detail in self.event_log:
-                w.writerow([f"{t:.6f}", event, jid, server, detail])
 
 
 # --------------------------------------------------------------------------

@@ -86,3 +86,30 @@ def test_cross_eval_with_pretrain(tmp_path, capsys):
     assert rc == 0
     rows = list(csv.DictReader(open(tmp_path / "ce.csv")))
     assert float(rows[0]["normalized"]) == pytest.approx(1.0)
+
+
+def _bad_json(tmp_path):
+    obj = ExperimentConfig(scenario=scenario_stationary("C", 3)).to_json()
+    obj["episode_length"] = 8   # misspelt key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("flags", [
+    _bad_json,
+    ["--scenario", "stationary:Z"],
+    ["--env", "abr", "--scenario", "stationary:A"],
+    ["--episode-len", "0"],
+    ["--label-noise", "5"],
+], ids=["unknown-json-key", "unknown-workload", "workload-of-other-env",
+        "zero-episode-len", "label-noise-above-one"])
+def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
+    if callable(flags):
+        flags = flags(tmp_path)
+    out = tmp_path / "run"
+    rc = main(["run", "--seed", "1", "--out-dir", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -105,6 +105,10 @@ class TestRunBasics:
         s = run_experiment(tiny_cfg(scenario=sc, expert_mode="single"))
         assert s.experts[0] is s.experts[1]
 
+    def test_a2c_makes_one_update_per_epoch(self):
+        s = run_experiment(tiny_cfg(scenario=scenario_stationary("A", 6)))
+        assert s.experts[0].updates == 6
+
     def test_unknown_env_rejected(self):
         with pytest.raises(ConfigError):
             run_experiment(tiny_cfg(env="nope"))
@@ -190,6 +194,27 @@ class TestOracleMode:
         s = run_experiment(tiny_cfg(scenario=sc, expert_mode="oracle"))
         assert all(e["n_steps"] == 0 for e in s.training_log)
         assert s.post_convergence_from == 0
+
+    @pytest.mark.parametrize("learner", ["a2c", "dqn"])
+    def test_oracle_run_leaves_experts_bit_identical(self, learner):
+        # each oracle expert must equal the plain stationary run it came
+        # from: the scenario itself never trains it
+        sc = scenario_cyclic(t_sw=3, keys=("A", "C"), cycles=2)
+        cfg = tiny_cfg(scenario=sc, learner=learner, expert_mode="oracle",
+                       batch_size=8, train_every=1)
+        oracle = run_experiment(cfg)
+        for key, label in sc.label_of.items():
+            plain = run_experiment(replace(
+                cfg, expert_mode="multi", scenario=scenario_stationary(key, cfg.t_c),
+                seed=cfg.seed + 7919 * (label + 1))).experts[0]
+            frozen = oracle.experts[label]
+            assert frozen.updates == plain.updates > 0
+            nets = ((frozen.actor, plain.actor), (frozen.critic, plain.critic)) \
+                if learner == "a2c" else ((frozen.online, plain.online),
+                                          (frozen.target, plain.target))
+            for a, b in nets:
+                for x, y in zip(a.parameters(), b.parameters()):
+                    assert np.array_equal(x, y)
 
     def test_oracle_requires_clean_labels(self):
         with pytest.raises(ConfigError):

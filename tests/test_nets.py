@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from nonstat_rl.errors import ConfigError, DivergenceError, UsageError
-from nonstat_rl.nets import Adam, DeepSetsEncoder, Mlp, load_net, softmax
+from nonstat_rl.nets import (Adam, DeepSetsEncoder, Mlp, clone_net, load_net, save_net,
+                             softmax)
 
 
 def fd_gradients(loss_fn, params, h=1e-5):
@@ -285,7 +286,7 @@ class TestCheckpoints:
     def test_mlp_roundtrip_bit_exact(self, tmp_path):
         net = Mlp([4, 8, 3], head="softmax", rng=np.random.default_rng(11))
         path = tmp_path / "net.npz"
-        net.save(path)
+        save_net(net, path)
         back = load_net(path)
         for a, b in zip(net.parameters(), back.parameters()):
             assert np.array_equal(a, b)
@@ -295,9 +296,19 @@ class TestCheckpoints:
         enc = DeepSetsEncoder(2, 14, 7, n_set=10, head="softmax",
                               rng=np.random.default_rng(12))
         path = tmp_path / "enc.npz"
-        enc.save(path)
+        save_net(enc, path)
         back = load_net(path)
         for a, b in zip(enc.parameters(), back.parameters()):
             assert np.array_equal(a, b)
         x = np.random.default_rng(1).normal(size=enc.n_set * 2 + 14)
         assert np.array_equal(enc.forward(x), back.forward(x))
+
+    def test_clone_is_equal_and_independent(self):
+        for net in (Mlp([4, 8, 3], rng=np.random.default_rng(13)),
+                    DeepSetsEncoder(2, 3, 4, n_set=5, rng=np.random.default_rng(14))):
+            twin = clone_net(net)
+            assert twin.spec() == net.spec()
+            for a, b in zip(net.parameters(), twin.parameters()):
+                assert np.array_equal(a, b) and a is not b
+            twin.parameters()[0] += 1.0
+            assert not np.array_equal(twin.parameters()[0], net.parameters()[0])
