@@ -17,6 +17,7 @@ To print fresh digests and values: ``python tests/test_golden.py``.
 
 import hashlib
 import os
+import random
 import sys
 import tempfile
 from dataclasses import replace
@@ -28,6 +29,7 @@ from nonstat_rl.harness import (
     ExperimentConfig, abr_defaults, cross_eval, evaluate_policy,
     pretrain_checkpoint, run_experiment, scenario_cyclic, scenario_stationary,
 )
+from nonstat_rl.straggler import TIMEOUTS_MS, WORKLOAD_PRESETS, StragglerSim
 
 ARTIFACTS = ("timeseries.csv", "detections.csv", "summary.csv", "status.json")
 
@@ -262,6 +264,49 @@ def test_run_checkpoint_arrays_unchanged(name, case, files, tmp_path):
     assert digest == PINNED[name]
 
 
+# --------------------------------------------------------------------------
+# the straggler simulator on its own, long enough for hedging storms, the
+# safeguard latch turning on and off, and queued-sibling cancellation
+
+SIM_PRESETS = ("A", "C", "high_rate")
+SIM_WINDOWS = 400
+
+SIM_GOLDEN = {
+    "steps": "940d2dd93449a543ece368617eccf45db50b576110da05970f9b3df560020bd7",
+    "event_log": "a9f4574d5fd906c3e909fe2b8e4321b8dddedbe3d8ca07be0f1aa03429fcef16",
+}
+
+
+def sim_digests(keep_event_log):
+    """sha256 over every `step()` result (observation bytes, reward, stats)
+    and the state after `drain()`, for each of `SIM_PRESETS`; plus the sha256
+    of the event logs when they are kept."""
+    steps, log = hashlib.sha256(), hashlib.sha256()
+    for key in SIM_PRESETS:
+        actions = random.Random(f"sim-{key}")
+        sim = StragglerSim(WORKLOAD_PRESETS[key], seed=17, safeguard_enabled=True,
+                           keep_event_log=keep_event_log)
+        for _ in range(SIM_WINDOWS):
+            # 3 ms hedging about half the time, so hedges pile up and latch
+            a = 0 if actions.random() < 0.4 else actions.randrange(len(TIMEOUTS_MS))
+            res = sim.step(a)
+            steps.update(res.obs.tobytes())
+            steps.update(repr((res.reward, sorted(res.stats.items()))).encode())
+        sim.drain()
+        steps.update(repr((sim.now, sim.arrived_total, sim.completed_total,
+                           sim.hedges_total, sim.qlen)).encode())
+        log.update(repr(sim.event_log).encode())
+    return steps.hexdigest(), (log.hexdigest() if keep_event_log else None)
+
+
+@pytest.mark.parametrize("keep_event_log", [False, True], ids=["log-off", "log-on"])
+def test_simulator_step_results_unchanged(keep_event_log):
+    steps, log = sim_digests(keep_event_log)
+    assert steps == SIM_GOLDEN["steps"]
+    if keep_event_log:
+        assert log == SIM_GOLDEN["event_log"]
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
@@ -270,6 +315,9 @@ if __name__ == "__main__":
         for name in ARTIFACTS:
             sys.stdout.write(f'        "{name}": "{got[name]}",\n')
         sys.stdout.write("    },\n")
+    steps, log = sim_digests(True)
+    sys.stdout.write(f'SIM_GOLDEN = {{\n    "steps": "{steps}",\n'
+                     f'    "event_log": "{log}",\n}}\n')
     sys.stdout.write("PINNED = {\n")
     for name, value in pinned_values().items():
         sys.stdout.write(f"    {name!r}: {value!r},\n")
