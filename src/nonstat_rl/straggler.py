@@ -6,8 +6,13 @@ index). A job's service time equals its nominal size, inflated by a factor
 `k` with probability `p` independently per copy. If a job is still
 incomplete `timeout` ms after arrival it is hedged once: a duplicate copy
 goes to the shortest queue among the *other* servers. The job completes
-when either copy finishes; a still-queued sibling is removed, an in-service
-sibling runs to completion.
+when either copy finishes; a still-queued sibling is cancelled, an
+in-service sibling runs to completion.
+
+One event loop, `StragglerSim._run`, handles arrivals, completions and hedge
+timers for both `step` and `drain`. Each queue is a deque with lazy
+cancellation: a cancelled copy leaves the queue-length count at once but
+stays in its deque until its server reaches it and skips it.
 
 The agent acts once per 500 ms window, choosing the hedging timeout applied
 to every job arriving in that window. The reward is the negated nearest-rank
@@ -22,6 +27,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -232,7 +238,7 @@ class StragglerSim:
         self._seq = 0
         self._jid = 0
         n = self.n
-        self.queues = [[] for _ in range(n)]  # waiting copies, FIFO
+        self.queues = [deque() for _ in range(n)]  # waiting copies, FIFO
         self.serving = [None] * n
         self.qlen = [0] * n
         self.q_acc = [0.0] * n
@@ -249,7 +255,8 @@ class StragglerSim:
         self.last_window_max_queue = 0
         self._arrivals_on = True
         self._window_timeout = math.inf
-        self._schedule_arrival()
+        self._seq += 1
+        heappush(self.heap, (self._arrival_gap(0.0), self._seq, 0, None))
         return self.observe()
 
     def set_workload(self, workload):
@@ -259,24 +266,12 @@ class StragglerSim:
         self._arrivals_on = False
 
     # -- internals ----------------------------------------------------------
-    def _log(self, t, event, jid, server, detail=""):
-        # callers check keep_event_log first, so the detail string is only
-        # formatted when it is kept
-        self.event_log.append((t, event, jid, server, detail))
-
-    def _schedule_arrival(self):
-        rate = self.workload.rate_at(self.now)
+    def _arrival_gap(self, t):
+        """Exponential wait from `t` to the next Poisson arrival, in ms."""
+        rate = self.workload.rate_at(t)
         if rate <= 0:
             raise ConfigError("arrival rate must be positive")
-        dt = self.rng.expovariate(rate / 1000.0)  # rate per ms
-        self._seq += 1
-        heappush(self.heap, (self.now + dt, self._seq, 0, None))
-
-    def _draw_size(self, t):
-        mean = self.workload.mean_size_at(t)
-        sigma = self.workload.sigma
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return self.rng.lognormvariate(mu, sigma)
+        return self.rng.expovariate(rate / 1000.0)  # rate per ms
 
     def draw_service_time(self, nominal):
         """nominal * k with probability p, else nominal (independent per copy)."""
@@ -285,6 +280,7 @@ class StragglerSim:
         return nominal * self.k if self.rng.random() < self.p else nominal
 
     def _touch(self, s, t):
+        """Accrue server `s`'s queue-length and busy time up to `t`."""
         dt = t - self.last_upd[s]
         if dt > 0.0:
             self.q_acc[s] += self.qlen[s] * dt
@@ -293,34 +289,16 @@ class StragglerSim:
             self.last_upd[s] = t
 
     def dispatch(self, exclude=-1):
-        """Index of the shortest queue (ties to lowest index)."""
-        best, best_q = -1, None
-        for s in range(self.n):
-            if s == exclude:
-                continue
-            q = self.qlen[s]
-            if best_q is None or q < best_q:
-                best, best_q = s, q
+        """Index of the shortest queue (ties to lowest index), leaving out
+        server `exclude` when one is given."""
+        qlen = self.qlen
+        if exclude < 0:
+            return qlen.index(min(qlen))
+        held = qlen[exclude]
+        qlen[exclude] = math.inf
+        best = qlen.index(min(qlen))
+        qlen[exclude] = held
         return best
-
-    def _enqueue(self, copy, t):
-        s = copy.server
-        self._touch(s, t)
-        self.qlen[s] += 1
-        if self.serving[s] is None:
-            self.serving[s] = copy
-            copy.state = 1
-            self._seq += 1
-            heappush(self.heap, (t + copy.service, self._seq, 1, copy))
-        else:
-            self.queues[s].append(copy)
-        q = self.qlen[s]
-        if q > self._win_max_queue:
-            self._win_max_queue = q
-        if self.safeguard_enabled and not self.latch and q >= self.unsafe_queue:
-            self.latch = True
-            if self.keep_event_log:
-                self._log(t, "latch_on", -1, s, str(q))
 
     def inject_job(self, t_ms, size_ms):
         """Deterministic arrival for oracle event traces (testing hook)."""
@@ -329,75 +307,140 @@ class StragglerSim:
         self._seq += 1
         heappush(self.heap, (t_ms, self._seq, 0, float(size_ms)))
 
-    def _arrive(self, t, size=None):
-        if size is None and self._arrivals_on:
-            self.now = t
-            self._schedule_arrival()
-        self._jid += 1
-        job = _Job(self._jid, t, size if size is not None else self._draw_size(t))
-        self.arrived_total += 1
-        self._win_arrivals += 1
-        s = self.dispatch()
-        copy = _Copy(job, self.draw_service_time(job.size), s)
-        job.copies.append(copy)
-        self._enqueue(copy, t)
-        if self.keep_event_log:
-            self._log(t, "arrive", job.jid, s, f"{job.size:.3f}")
+    def _run(self, deadline, arrivals=True):
+        """Handle every event due by `deadline`, in (time, sequence) order.
+
+        Events are (t, seq, kind, item): kind 0 is an arrival (item is an
+        injected size, or None for a Poisson arrival, which schedules the
+        next one), kind 1 the end of a copy's service, kind 2 a job's hedge
+        timer. With `arrivals` False, arrival events are dropped unhandled.
+        Returns the latencies of the jobs completed, the service times of
+        the copies that completed them, the arrival and hedge counts and
+        the largest queue length seen.
+        """
+        heap, qlen, queues, serving = self.heap, self.qlen, self.queues, self.serving
+        q_acc, busy_acc, last_upd = self.q_acc, self.busy_acc, self.last_upd
+        push, pop = heappush, heappop
+        workload, lognormvariate = self.workload, self.rng.lognormvariate
+        sigma = workload.sigma
+        half_var = 0.5 * sigma * sigma
+        gap, dispatch, service_time = self._arrival_gap, self.dispatch, self.draw_service_time
+        log = self.event_log.append if self.keep_event_log else None
+        guard, unsafe, safe = self.safeguard_enabled, self.unsafe_queue, self.safe_queue
+        poisson = self._arrivals_on
         timeout = self._window_timeout
-        if timeout != math.inf:
-            self._seq += 1
-            heappush(self.heap, (t + timeout, self._seq, 2, job))
+        hedging = timeout != math.inf
+        seq, jid, latch, now = self._seq, self._jid, self.latch, self.now
+        n_arrived = n_completed = n_hedges = 0
+        latencies, procs = [], []
+        max_queue = max(qlen)
+        try:
+            while heap and heap[0][0] <= deadline:
+                t, _, kind, item = pop(heap)
+                now = t
+                if kind == 1:
+                    copy = item
+                    s = copy.server
+                    dt = t - last_upd[s]  # _touch(s, t); s is serving `copy`
+                    if dt > 0.0:
+                        q_acc[s] += qlen[s] * dt
+                        busy_acc[s] += dt
+                        last_upd[s] = t
+                    qlen[s] -= 1
+                    copy.state = 2
+                    serving[s] = None
+                    queue = queues[s]
+                    while queue:
+                        nxt = queue.popleft()
+                        if nxt.state == 0:  # else a cancelled sibling
+                            nxt.state = 1
+                            serving[s] = nxt
+                            seq += 1
+                            push(heap, (t + nxt.service, seq, 1, nxt))
+                            break
+                    job = copy.job
+                    if not job.done:
+                        job.done = True
+                        n_completed += 1
+                        latency = t - job.t_arrive
+                        latencies.append(latency)
+                        procs.append(copy.service)
+                        if log:
+                            log((t, "complete", job.jid, s, f"{latency:.3f}"))
+                        for sib in job.copies:
+                            if sib is not copy and sib.state == 0:
+                                # cancelled in place: its queue skips it later
+                                s2 = sib.server
+                                self._touch(s2, t)
+                                qlen[s2] -= 1
+                                sib.state = 2
+                                if log:
+                                    log((t, "cancel", job.jid, s2, ""))
+                    elif log:
+                        log((t, "sibling_done", job.jid, s, ""))
+                    if latch and max(qlen) <= safe:
+                        latch = False
+                        if log:
+                            log((t, "latch_off", -1, -1, ""))
+                    continue
 
-    def _finish(self, t, copy):
-        s = copy.server
-        self._touch(s, t)
-        self.qlen[s] -= 1
-        copy.state = 2
-        self.serving[s] = None
-        if self.queues[s]:
-            nxt = self.queues[s].pop(0)
-            nxt.state = 1
-            self.serving[s] = nxt
-            self._seq += 1
-            heappush(self.heap, (t + nxt.service, self._seq, 1, nxt))
-        job = copy.job
-        if not job.done:
-            job.done = True
-            self.completed_total += 1
-            latency = t - job.t_arrive
-            self._win_latencies.append(latency)
-            self._win_proc.append(copy.service)
-            if self.keep_event_log:
-                self._log(t, "complete", job.jid, s, f"{latency:.3f}")
-            for sib in job.copies:
-                if sib is not copy and sib.state == 0:
-                    s2 = sib.server
-                    self._touch(s2, t)
-                    self.queues[s2].remove(sib)
-                    self.qlen[s2] -= 1
-                    sib.state = 2
-                    if self.keep_event_log:
-                        self._log(t, "cancel", job.jid, s2)
-        elif self.keep_event_log:
-            self._log(t, "sibling_done", job.jid, s)
-        if self.latch and max(self.qlen) <= self.safe_queue:
-            self.latch = False
-            if self.keep_event_log:
-                self._log(t, "latch_off", -1, -1)
+                if kind == 0:
+                    if not arrivals:
+                        continue
+                    if item is None:
+                        if poisson:
+                            seq += 1
+                            push(heap, (t + gap(t), seq, 0, None))
+                        item = lognormvariate(
+                            math.log(workload.mean_size_at(t)) - half_var, sigma)
+                    jid += 1
+                    job = _Job(jid, t, item)
+                    n_arrived += 1
+                    s = dispatch()
+                else:
+                    job = item
+                    if job.done or job.hedged or latch:
+                        continue
+                    job.hedged = True
+                    s = dispatch(job.copies[0].server)
+                    n_hedges += 1
+                    if log:
+                        log((t, "hedge", job.jid, s, ""))
+                copy = _Copy(job, service_time(job.size), s)
+                job.copies.append(copy)
 
-    def _hedge(self, t, job):
-        if job.done or job.hedged or self.latch:
-            return
-        job.hedged = True
-        origin = job.copies[0].server
-        s = self.dispatch(exclude=origin)
-        copy = _Copy(job, self.draw_service_time(job.size), s)
-        job.copies.append(copy)
-        self.hedges_total += 1
-        self._win_hedges += 1
-        if self.keep_event_log:
-            self._log(t, "hedge", job.jid, s)
-        self._enqueue(copy, t)
+                dt = t - last_upd[s]  # _touch(s, t)
+                if dt > 0.0:
+                    q_acc[s] += qlen[s] * dt
+                    if serving[s] is not None:
+                        busy_acc[s] += dt
+                    last_upd[s] = t
+                q = qlen[s] = qlen[s] + 1
+                if serving[s] is None:
+                    serving[s] = copy
+                    copy.state = 1
+                    seq += 1
+                    push(heap, (t + copy.service, seq, 1, copy))
+                else:
+                    queues[s].append(copy)
+                if q > max_queue:
+                    max_queue = q
+                if guard and not latch and q >= unsafe:
+                    latch = True
+                    if log:
+                        log((t, "latch_on", -1, s, str(q)))
+                if kind == 0:
+                    if log:
+                        log((t, "arrive", job.jid, s, f"{job.size:.3f}"))
+                    if hedging:
+                        seq += 1
+                        push(heap, (t + timeout, seq, 2, job))
+        finally:
+            self._seq, self._jid, self.latch, self.now = seq, jid, latch, now
+            self.arrived_total += n_arrived
+            self.completed_total += n_completed
+            self.hedges_total += n_hedges
+        return latencies, procs, n_arrived, n_hedges, max_queue
 
     # -- stepping -----------------------------------------------------------
     def step(self, action):
@@ -406,22 +449,7 @@ class StragglerSim:
             raise ConfigError(f"action {action} out of range")
         self._window_timeout = self.timeouts[action]
         window_end = self.now + self.window_ms
-        self._win_latencies = []
-        self._win_proc = []
-        self._win_arrivals = 0
-        self._win_hedges = 0
-        self._win_max_queue = max(self.qlen)
-
-        heap = self.heap
-        while heap and heap[0][0] <= window_end:
-            t, _, kind, payload = heappop(heap)
-            self.now = t
-            if kind == 0:
-                self._arrive(t, payload)
-            elif kind == 1:
-                self._finish(t, payload)
-            else:
-                self._hedge(t, payload)
+        lat, procs, arrivals, hedges, max_queue = self._run(window_end)
 
         self.now = window_end
         for s in range(self.n):
@@ -431,26 +459,25 @@ class StragglerSim:
         self.q_acc = [0.0] * self.n
         self.busy_acc = [0.0] * self.n
 
-        lat = self._win_latencies
         p95 = nearest_rank(lat, 95) if lat else None
         reward = -p95 if p95 is not None else self.prev_reward
         self.prev_reward = reward
 
-        avg_proc = sum(self._win_proc) / len(self._win_proc) if self._win_proc else 0.0
-        max_proc = max(self._win_proc) if self._win_proc else 0.0
-        rate = self._win_arrivals / (self.window_ms / 1000.0)
+        avg_proc = sum(procs) / len(procs) if procs else 0.0
+        max_proc = max(procs) if procs else 0.0
+        rate = arrivals / (self.window_ms / 1000.0)
         self.window_history.append((avg_proc, max_proc, rate))
         if len(self.window_history) > self.m_windows:
             self.window_history.pop(0)
-        self.last_window_max_queue = self._win_max_queue
+        self.last_window_max_queue = max_queue
 
         stats = {
             "t_ms": self.now,
-            "arrivals": self._win_arrivals,
+            "arrivals": arrivals,
             "latencies": lat,
             "p95": p95,
-            "max_queue": self._win_max_queue,
-            "hedges": self._win_hedges,
+            "max_queue": max_queue,
+            "hedges": hedges,
             "guard_active": self.latch,
             "load": self.load_last,
         }
@@ -490,16 +517,7 @@ class StragglerSim:
     def drain(self, max_ms=10_000_000.0):
         """Stop arrivals and run until every job has completed."""
         self.stop_arrivals()
-        deadline = self.now + max_ms
-        while self.heap and self.heap[0][0] <= deadline:
-            t, _, kind, payload = heappop(self.heap)
-            self.now = t
-            if kind == 0:
-                continue
-            if kind == 1:
-                self._finish(t, payload)
-            else:
-                self._hedge(t, payload)
+        self._run(self.now + max_ms, arrivals=False)
 
 
 # --------------------------------------------------------------------------

@@ -166,6 +166,16 @@ class TestInvariants:
         assert sim.completed_total == sim.arrived_total
         assert all(q == 0 for q in sim.qlen)
 
+    def test_drain_leaves_the_last_step_result_alone(self):
+        # drain completes the jobs still in flight; they belong to no window
+        sim = StragglerSim(WORKLOAD_PRESETS["C"], seed=3)
+        res = sim.step(6)
+        latencies = list(res.stats["latencies"])
+        assert sim.completed_total < sim.arrived_total
+        sim.drain()
+        assert sim.completed_total == sim.arrived_total
+        assert res.stats["latencies"] == latencies
+
     def test_hedging_helps_inflated_singleton_jobs(self):
         # light load: a lone job per window; hedging can only help the tail
         def run(action, seed=11):
