@@ -124,9 +124,13 @@ class GmmDetector:
         log_post -= _logsumexp(log_post[None, :])[0]
         return np.exp(log_post)
 
-    def classify(self, features):
-        """Maximum-posterior component index, subject to dwell hysteresis."""
-        post = self.posterior(features)
+    def classify(self, features, post=None):
+        """Maximum-posterior component index, subject to dwell hysteresis.
+
+        `post` is `posterior(features)`, for a caller that already has it.
+        """
+        if post is None:
+            post = self.posterior(features)
         winner = int(np.argmax(post))
         if self._reported is None:
             self._reported = winner

@@ -24,6 +24,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -74,7 +75,12 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["name"], [tuple(d) for d in obj["dwells"]])
+        try:
+            return cls(obj["name"], [tuple(d) for d in obj["dwells"]])
+        except KeyError as exc:
+            raise ConfigError(f"scenario has no {exc.args[0]!r} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed scenario {obj!r}: {exc}") from None
 
 
 def scenario_stationary(key, epochs, name=None):
@@ -121,6 +127,10 @@ def scenario_fastswitch(epochs, name="FastSwitch"):
 
 _EXPERT_MODES = ("single", "multi", "oracle")
 _DETECTORS = ("truth", "gmm")
+
+
+# annotation -> (accepted type, its name in an error message)
+_NUMBER_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
 
 
 @dataclass
@@ -182,6 +192,11 @@ class ExperimentConfig:
     detector_components: int = 0        # 0 -> one per scenario workload
 
     def __post_init__(self):
+        for f in fields(self):
+            kind = _NUMBER_KINDS.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+                raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
         for name, valid in (("env", _CASES), ("learner", _LEARNERS),
                             ("expert_mode", _EXPERT_MODES), ("buffer", STRATEGIES),
                             ("detector", _DETECTORS)):
@@ -569,8 +584,9 @@ class _Detector:
             return self.reported, post
         self.history.append(np.asarray(features, dtype=np.float64))
         if self.gmm.fitted:
-            self.reported = self.gmm.classify(features)
-            return self.reported, self.gmm.posterior(features)
+            post = self.gmm.posterior(features)
+            self.reported = self.gmm.classify(features, post=post)
+            return self.reported, post
         return self.reported, np.zeros(self.gmm.n_components)
 
     def maybe_fit(self, epoch):
