@@ -88,21 +88,27 @@ def test_cross_eval_with_pretrain(tmp_path, capsys):
     assert float(rows[0]["normalized"]) == pytest.approx(1.0)
 
 
-def _bad_json(tmp_path):
-    obj = ExperimentConfig(scenario=scenario_stationary("C", 3)).to_json()
-    obj["episode_length"] = 8   # misspelt key
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(obj))
-    return ["--config", str(path)]
+def _json(**changes):
+    """Flags loading a JSON config file: a valid config with `changes`."""
+    def flags(tmp_path):
+        obj = ExperimentConfig(scenario=scenario_stationary("C", 3)).to_json()
+        obj.update(changes)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        return ["--config", str(path)]
+    return flags
 
 
 @pytest.mark.parametrize("flags", [
-    _bad_json,
+    _json(episode_length=8),    # misspelt key
+    _json(scenario={"dwells": [["A", 3]]}),
+    _json(episode_len="8"),
     ["--scenario", "stationary:Z"],
     ["--env", "abr", "--scenario", "stationary:A"],
     ["--episode-len", "0"],
     ["--label-noise", "5"],
-], ids=["unknown-json-key", "unknown-workload", "workload-of-other-env",
+], ids=["unknown-json-key", "json-scenario-without-name", "json-string-number",
+        "unknown-workload", "workload-of-other-env",
         "zero-episode-len", "label-noise-above-one"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
