@@ -338,53 +338,12 @@ class StragglerSim:
             while heap and heap[0][0] <= deadline:
                 t, _, kind, item = pop(heap)
                 now = t
+                # find the server `s` the event changes (and, for an arrival
+                # or a hedge, the new copy it gets)
                 if kind == 1:
                     copy = item
                     s = copy.server
-                    dt = t - last_upd[s]  # _touch(s, t); s is serving `copy`
-                    if dt > 0.0:
-                        q_acc[s] += qlen[s] * dt
-                        busy_acc[s] += dt
-                        last_upd[s] = t
-                    qlen[s] -= 1
-                    copy.state = 2
-                    serving[s] = None
-                    queue = queues[s]
-                    while queue:
-                        nxt = queue.popleft()
-                        if nxt.state == 0:  # else a cancelled sibling
-                            nxt.state = 1
-                            serving[s] = nxt
-                            seq += 1
-                            push(heap, (t + nxt.service, seq, 1, nxt))
-                            break
-                    job = copy.job
-                    if not job.done:
-                        job.done = True
-                        n_completed += 1
-                        latency = t - job.t_arrive
-                        latencies.append(latency)
-                        procs.append(copy.service)
-                        if log:
-                            log((t, "complete", job.jid, s, f"{latency:.3f}"))
-                        for sib in job.copies:
-                            if sib is not copy and sib.state == 0:
-                                # cancelled in place: its queue skips it later
-                                s2 = sib.server
-                                self._touch(s2, t)
-                                qlen[s2] -= 1
-                                sib.state = 2
-                                if log:
-                                    log((t, "cancel", job.jid, s2, ""))
-                    elif log:
-                        log((t, "sibling_done", job.jid, s, ""))
-                    if latch and max(qlen) <= safe:
-                        latch = False
-                        if log:
-                            log((t, "latch_off", -1, -1, ""))
-                    continue
-
-                if kind == 0:
+                elif kind == 0:
                     if not arrivals:
                         continue
                     if item is None:
@@ -397,44 +356,87 @@ class StragglerSim:
                     job = _Job(jid, t, item)
                     n_arrived += 1
                     s = dispatch()
+                    copy = _Copy(job, service_time(item), s)
+                    job.copies.append(copy)
                 else:
                     job = item
                     if job.done or job.hedged or latch:
                         continue
                     job.hedged = True
                     s = dispatch(job.copies[0].server)
+                    copy = _Copy(job, service_time(job.size), s)
+                    job.copies.append(copy)
                     n_hedges += 1
                     if log:
                         log((t, "hedge", job.jid, s, ""))
-                copy = _Copy(job, service_time(job.size), s)
-                job.copies.append(copy)
 
-                dt = t - last_upd[s]  # _touch(s, t)
+                dt = t - last_upd[s]  # _touch(s, t), inlined
                 if dt > 0.0:
                     q_acc[s] += qlen[s] * dt
                     if serving[s] is not None:
                         busy_acc[s] += dt
                     last_upd[s] = t
-                q = qlen[s] = qlen[s] + 1
-                if serving[s] is None:
-                    serving[s] = copy
-                    copy.state = 1
-                    seq += 1
-                    push(heap, (t + copy.service, seq, 1, copy))
-                else:
-                    queues[s].append(copy)
-                if q > max_queue:
-                    max_queue = q
-                if guard and not latch and q >= unsafe:
-                    latch = True
-                    if log:
-                        log((t, "latch_on", -1, s, str(q)))
-                if kind == 0:
-                    if log:
-                        log((t, "arrive", job.jid, s, f"{job.size:.3f}"))
-                    if hedging:
+
+                if kind != 1:  # enqueue the new copy
+                    q = qlen[s] = qlen[s] + 1
+                    if serving[s] is None:
+                        serving[s] = copy
+                        copy.state = 1
                         seq += 1
-                        push(heap, (t + timeout, seq, 2, job))
+                        push(heap, (t + copy.service, seq, 1, copy))
+                    else:
+                        queues[s].append(copy)
+                    if q > max_queue:
+                        max_queue = q
+                    if guard and not latch and q >= unsafe:
+                        latch = True
+                        if log:
+                            log((t, "latch_on", -1, s, str(q)))
+                    if kind == 0:
+                        if log:
+                            log((t, "arrive", job.jid, s, f"{job.size:.3f}"))
+                        if hedging:
+                            seq += 1
+                            push(heap, (t + timeout, seq, 2, job))
+                    continue
+
+                # copy's service ends: start the next live copy in s's queue
+                qlen[s] -= 1
+                copy.state = 2
+                serving[s] = None
+                queue = queues[s]
+                while queue:
+                    nxt = queue.popleft()
+                    if nxt.state == 0:  # else a cancelled sibling
+                        nxt.state = 1
+                        serving[s] = nxt
+                        seq += 1
+                        push(heap, (t + nxt.service, seq, 1, nxt))
+                        break
+                job = copy.job
+                if not job.done:
+                    job.done = True
+                    n_completed += 1
+                    latency = t - job.t_arrive
+                    latencies.append(latency)
+                    procs.append(copy.service)
+                    if log:
+                        log((t, "complete", job.jid, s, f"{latency:.3f}"))
+                    for sib in job.copies:
+                        if sib is not copy and sib.state == 0:
+                            # cancelled in place: its queue skips it later
+                            s2 = sib.server
+                            self._touch(s2, t)
+                            qlen[s2] -= 1
+                            sib.state = 2
+                            if log:
+                                log((t, "cancel", job.jid, s2, ""))
+                elif log:
+                    log((t, "sibling_done", job.jid, s, ""))
+                if latch and max(qlen) <= safe:
+                    latch = False
+                    if log:
+                        log((t, "latch_off", -1, -1, ""))
         finally:
             self._seq, self._jid, self.latch, self.now = seq, jid, latch, now
             self.arrived_total += n_arrived
