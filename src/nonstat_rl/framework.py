@@ -68,8 +68,7 @@ class GmmDetector:
             self.means = x.mean(axis=0, keepdims=True)
             self.variances = np.full((1, d), VAR_FLOOR)
             self.weights = np.ones(1)
-            self.fitted = True
-            self._reset_readout()
+            self._fitted()
             return self
 
         k = self.n_components
@@ -80,7 +79,8 @@ class GmmDetector:
 
         prev_ll = -np.inf
         for _ in range(self.max_iter):
-            log_resp = self._log_prob(x, means, variances) + np.log(weights)
+            log_norm = np.log(2.0 * np.pi * variances).sum(axis=1)
+            log_resp = self._log_prob(x, means, variances, log_norm) + np.log(weights)
             norm = _logsumexp(log_resp)
             ll = float(norm.mean())
             resp = np.exp(log_resp - norm[:, None])
@@ -98,9 +98,16 @@ class GmmDetector:
         self.variances = variances[order]
         self.weights = weights[order] / weights.sum()
         self.degenerate = False
+        self._fitted()
+        return self
+
+    def _fitted(self):
+        """Mark the parameters set: cache the posterior's constant terms and
+        restart the dwell readout."""
+        self._log_norm = np.log(2.0 * np.pi * self.variances).sum(axis=1)
+        self._log_weights = np.log(self.weights)
         self.fitted = True
         self._reset_readout()
-        return self
 
     def _reset_readout(self):
         self._reported = None
@@ -108,19 +115,17 @@ class GmmDetector:
         self._pending_count = 0
 
     @staticmethod
-    def _log_prob(x, means, variances):
-        # (n, k) log N(x | mean_k, diag var_k)
+    def _log_prob(x, means, variances, log_norm):
+        # (n, k) log N(x | mean_k, diag var_k); log_norm[k] = sum_d log(2 pi var_kd)
         diff = x[:, None, :] - means[None, :, :]
-        return -0.5 * (
-            (diff**2 / variances[None]).sum(axis=2)
-            + np.log(2.0 * np.pi * variances).sum(axis=1)[None, :]
-        )
+        return -0.5 * ((diff**2 / variances[None]).sum(axis=2) + log_norm[None, :])
 
     def posterior(self, features):
         if not self.fitted:
             raise UsageError("detector not fitted")
         x = np.asarray(features, dtype=np.float64)[None, :]
-        log_post = self._log_prob(x, self.means, self.variances)[0] + np.log(self.weights)
+        log_post = (self._log_prob(x, self.means, self.variances, self._log_norm)[0]
+                    + self._log_weights)
         log_post -= _logsumexp(log_post[None, :])[0]
         return np.exp(log_post)
 
@@ -168,8 +173,7 @@ class GmmDetector:
             det.variances = data["variances"]
             det.weights = data["weights"]
         det.degenerate = meta["degenerate"]
-        det.fitted = True
-        det._reset_readout()
+        det._fitted()
         return det
 
 

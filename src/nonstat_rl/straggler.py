@@ -488,20 +488,13 @@ class StragglerSim:
     def observe(self, avg_q=None):
         """Observation: [inst queues, window-avg queues, m x (avg/max proc,
         rate), load, guard flag], all normalized by fixed constants."""
-        n = self.n
-        obs = np.empty(2 * n + 3 * self.m_windows + 2)
-        obs[:n] = np.asarray(self.qlen) / QUEUE_SCALE
-        obs[n:2 * n] = (np.asarray(avg_q) / QUEUE_SCALE) if avg_q is not None else 0.0
+        vals = [q / QUEUE_SCALE for q in self.qlen]
+        vals += [q / QUEUE_SCALE for q in avg_q] if avg_q is not None else [0.0] * self.n
         hist = [(0.0, 0.0, 0.0)] * (self.m_windows - len(self.window_history))
-        hist += self.window_history
-        base = 2 * n
-        for i, (ap, mp, rt) in enumerate(hist):
-            obs[base + 3 * i] = ap / PROC_SCALE
-            obs[base + 3 * i + 1] = mp / PROC_SCALE
-            obs[base + 3 * i + 2] = rt / RATE_SCALE
-        obs[base + 3 * self.m_windows] = self.load_last
-        obs[base + 3 * self.m_windows + 1] = 1.0 if self.latch else 0.0
-        return obs
+        for ap, mp, rt in hist + self.window_history:
+            vals += (ap / PROC_SCALE, mp / PROC_SCALE, rt / RATE_SCALE)
+        vals += (self.load_last, 1.0 if self.latch else 0.0)
+        return np.array(vals)
 
     @property
     def obs_dim(self):
