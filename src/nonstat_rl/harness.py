@@ -582,11 +582,11 @@ class _Detector:
             post = np.zeros(max(self.n_labels, self.reported + 1))
             post[self.reported] = 1.0
             return self.reported, post
-        self.history.append(np.asarray(features, dtype=np.float64))
         if self.gmm.fitted:
             post = self.gmm.posterior(features)
             self.reported = self.gmm.classify(features, post=post)
             return self.reported, post
+        self.history.append(np.asarray(features, dtype=np.float64))  # to fit on
         return self.reported, np.zeros(self.gmm.n_components)
 
     def maybe_fit(self, epoch):

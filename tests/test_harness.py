@@ -314,6 +314,20 @@ class TestDetectorModes:
         # component order is canonical (by arrival rate): A(25/s)=0, C(80/s)=1
         assert agree >= 0.7
 
+    def test_gmm_feature_history_stops_growing_once_fitted(self):
+        from nonstat_rl.harness import _Detector
+        cfg = tiny_cfg(detector="gmm")
+        det = _Detector(cfg, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        centres = ([25.0, 80.0], [80.0, 25.0])
+        for i in range(30):
+            det.observe_window(rng.normal(centres[i % 2], 1.0))
+        det.maybe_fit(cfg.detector_warmup_epochs)
+        assert det.gmm.fitted
+        for i in range(30):
+            det.observe_window(rng.normal(centres[i % 2], 1.0))
+        assert len(det.history) == 30
+
     def test_paper_scale_fields(self):
         cfg = paper_scale(tiny_cfg())
         assert cfg.t_c == 6000 and cfg.episode_len == 128
