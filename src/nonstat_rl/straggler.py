@@ -238,7 +238,8 @@ class StragglerSim:
         self._seq = 0
         self._jid = 0
         n = self.n
-        self.queues = [deque() for _ in range(n)]  # waiting copies, FIFO
+        # waiting copies, FIFO; a cancelled copy stays until its server pops it
+        self.queues = [deque() for _ in range(n)]
         self.serving = [None] * n
         self.qlen = [0] * n
         self.q_acc = [0.0] * n
@@ -255,7 +256,7 @@ class StragglerSim:
         self.last_window_max_queue = 0
         self._arrivals_on = True
         self._window_timeout = math.inf
-        self._seq += 1
+        self._seq += 1  # the first arrival; each arrival schedules the next
         heappush(self.heap, (self._arrival_gap(0.0), self._seq, 0, None))
         return self.observe()
 
