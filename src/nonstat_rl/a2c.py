@@ -108,9 +108,6 @@ class A2cLearner:
         probs = self.actor.forward(obs)
         return int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
 
-    def action_probs(self, obs):
-        return self.actor.forward(obs)
-
     def batch_advantages(self, batch):
         """GAE advantages and returns for every step of the batch, in order."""
         adv_all, ret_all = [], []

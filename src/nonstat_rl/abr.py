@@ -3,17 +3,18 @@
 A video is split into fixed-length chunks encoded at six bitrates. Per chunk
 the policy picks a level; the chunk downloads over a per-second bandwidth
 trace (the effective chunk bandwidth is the harmonic mean of the trace over
-the download interval), the playback buffer follows
+the download interval), the playback buffer follows `buffer_step`
 
     b' = max(0, b - download) + chunk_s,
 
-capped at the client's request threshold `max_buffer_s` (the client idles
-until the buffer drains back to it), and the reward is the chunk QoE
+capped at the client's request threshold `MAX_BUFFER_S` (the client idles
+until the buffer drains back to it), and the reward is the chunk `qoe`
 
     qoe = q - |q - q_prev| - mu * rebuffer_seconds
 
-with quality q in ladder units (kbps/100). Bandwidth traces come from a
-Markov chain over coarse throughput states with a mean-reverting
+with quality q in ladder units (kbps/100). The real session and the
+safeguard's fictitious buffer both follow these two rules. Bandwidth traces
+come from a Markov chain over coarse throughput states with a mean-reverting
 (Ornstein-Uhlenbeck) overlay; five user-group presets span different
 average-bandwidth / per-user-variance / cross-user-diversity profiles.
 
@@ -42,15 +43,23 @@ MAX_BUFFER_S = 25.0
 DEFAULT_MU = 4.3
 QUALITY_PER_KBPS = 0.01  # q in units of kbps/100
 HISTORY_K = 9
+SESSION_TRACE_S = 1600  # bandwidth drawn per session; a session uses ~200 s
 # normalization of `AbrEnv.workload_features` when appended to observations
 FEATURE_SCALES = (2000.0, 600.0, 2000.0, 600.0)
 
 
-def qoe(q_t, q_prev, size, bandwidth, buffer_s, mu):
+def qoe(q, q_prev, rebuffer_s, mu):
     """Chunk QoE: quality minus smoothness penalty minus rebuffer penalty."""
-    if mu < 0:
-        raise ConfigError("mu must be non-negative")
-    return q_t - abs(q_t - q_prev) - mu * max(0.0, size / bandwidth - buffer_s)
+    return q - abs(q - q_prev) - mu * rebuffer_s
+
+
+def buffer_step(buffer_s, download_s, chunk_s):
+    """One chunk's effect on the playback buffer: (rebuffer s, buffer s capped
+    at MAX_BUFFER_S, idle s while the buffer drains back to the cap)."""
+    rebuffer = max(0.0, download_s - buffer_s)
+    after = max(0.0, buffer_s - download_s) + chunk_s
+    capped = min(after, MAX_BUFFER_S)
+    return rebuffer, capped, after - capped
 
 
 def bba_action(buffer_s, bitrates=BITRATES_KBPS, reservoir=5.0, cushion=10.0):
@@ -98,13 +107,12 @@ class VideoSpec:
         return len(self.bitrates_kbps)
 
     @classmethod
-    def synth(cls, n_chunks=N_CHUNKS, bitrates_kbps=BITRATES_KBPS, chunk_s=CHUNK_S,
-              jitter=0.1, seed=0):
-        """Sizes = bitrate * chunk length with +-10% per-chunk jitter."""
+    def synth(cls, seed=0):
+        """N_CHUNKS chunks of BITRATES_KBPS x CHUNK_S, +-10% per-chunk jitter."""
         rng = np.random.default_rng(seed)
-        base = np.asarray(bitrates_kbps, dtype=np.float64) * 1000.0 / 8.0 * chunk_s
-        noise = 1.0 + rng.uniform(-jitter, jitter, size=(n_chunks, len(bitrates_kbps)))
-        return cls(chunk_s, tuple(bitrates_kbps), base[None, :] * noise)
+        base = np.asarray(BITRATES_KBPS, dtype=np.float64) * 1000.0 / 8.0 * CHUNK_S
+        noise = 1.0 + rng.uniform(-0.1, 0.1, size=(N_CHUNKS, len(BITRATES_KBPS)))
+        return cls(CHUNK_S, BITRATES_KBPS, base[None, :] * noise)
 
     @classmethod
     def from_csv(cls, path, bitrates_kbps=BITRATES_KBPS, chunk_s=CHUNK_S):
@@ -213,13 +221,14 @@ def write_bandwidth_csv(path, trace):
 class AbrSession:
     """Buffer dynamics for a single video over a fixed bandwidth trace."""
 
-    def __init__(self, spec, trace_kbps, mu=DEFAULT_MU, max_buffer_s=MAX_BUFFER_S):
+    def __init__(self, spec, trace_kbps, mu=DEFAULT_MU):
         self.spec = spec
         self.trace = np.asarray(trace_kbps, dtype=np.float64)
         if self.trace.size == 0 or np.any(self.trace <= 0):
             raise ConfigError("bandwidth trace must be positive")
+        if mu < 0:
+            raise ConfigError("mu must be non-negative")
         self.mu = mu
-        self.max_buffer_s = max_buffer_s
         self.chunk = 0
         self.buffer_s = 0.0
         self.prev_level = 0
@@ -257,15 +266,10 @@ class AbrSession:
             raise ConfigError(f"level {level} out of range")
         size = float(self.spec.sizes_bytes[self.chunk][level])
         d = self._download(size)
-        rebuffer = max(0.0, d - self.buffer_s)
-        self.buffer_s = max(0.0, self.buffer_s - d) + self.spec.chunk_s
-        if self.buffer_s > self.max_buffer_s:
-            # client idles until the buffer drains to the request threshold
-            self.clock_s += self.buffer_s - self.max_buffer_s
-            self.buffer_s = self.max_buffer_s
+        rebuffer, self.buffer_s, idle = buffer_step(self.buffer_s, d, self.spec.chunk_s)
+        self.clock_s += idle
         q = self.spec.bitrates_kbps[level] * QUALITY_PER_KBPS
         q_prev = self.spec.bitrates_kbps[self.prev_level] * QUALITY_PER_KBPS
-        chunk_qoe = q - abs(q - q_prev) - self.mu * rebuffer
         info = {
             "chunk": self.chunk,
             "level": level,
@@ -273,8 +277,9 @@ class AbrSession:
             "throughput_kbps": size * 8.0 / 1000.0 / d,
             "rebuffer_s": rebuffer,
             "buffer_s": self.buffer_s,
-            "qoe": chunk_qoe,
+            "qoe": qoe(q, q_prev, rebuffer, self.mu),
             "quality": q,
+            "quality_prev": q_prev,
             "smoothness_penalty": abs(q - q_prev),
         }
         self.rows.append(info)
@@ -308,13 +313,10 @@ class FakeReplayGuard:
     default policy. A threshold of 0 disables the guard entirely.
     """
 
-    def __init__(self, cap=20.0, calibration_epochs=5, anneal_epochs=2000,
-                 chunk_s=CHUNK_S, max_buffer_s=MAX_BUFFER_S):
+    def __init__(self, cap=20.0, calibration_epochs=5, anneal_epochs=2000):
         self.cap = cap
         self.calibration_epochs = calibration_epochs
         self.anneal_epochs = anneal_epochs
-        self.chunk_s = chunk_s
-        self.max_buffer_s = max_buffer_s
         self.epoch = 0
         self.start_value = None
         self._calib_buffers = []
@@ -360,10 +362,8 @@ class FakeReplayGuard:
         fictitious rebuffer time (0 when no fiction is active)."""
         if self.fict_buffer is None:
             return 0.0
-        fict_rebuffer = max(0.0, download_s - self.fict_buffer)
-        self.fict_buffer = min(
-            max(0.0, self.fict_buffer - download_s) + self.chunk_s, self.max_buffer_s
-        )
+        fict_rebuffer, self.fict_buffer, _ = buffer_step(self.fict_buffer, download_s,
+                                                         CHUNK_S)
         return fict_rebuffer
 
 
@@ -396,17 +396,12 @@ class AbrEnv:
     action or BBA's executes.
     """
 
-    def __init__(self, group, spec=None, mu=DEFAULT_MU, seed=0, guard=None,
-                 session_trace_s=1600, history_k=HISTORY_K,
-                 max_buffer_s=MAX_BUFFER_S):
+    def __init__(self, group, spec=None, mu=DEFAULT_MU, seed=0, guard=None):
         self.group = group
         self.spec = spec if spec is not None else VideoSpec.synth(seed=0)
         self.mu = mu
         self.rng = np.random.default_rng(seed)
         self.guard = guard
-        self.session_trace_s = session_trace_s
-        self.history_k = history_k
-        self.max_buffer_s = max_buffer_s
         self._tput_window = []  # cross-session throughput history for detection
         self.session = None
         self._new_session()
@@ -415,15 +410,14 @@ class AbrEnv:
         self.group = group
 
     def _new_session(self):
-        trace = BandwidthGen(self.group, self.rng).generate(self.session_trace_s)
-        self.session = AbrSession(self.spec, trace, mu=self.mu,
-                                  max_buffer_s=self.max_buffer_s)
-        self._downloads = [0.0] * self.history_k
-        self._tputs = [0.0] * self.history_k
+        trace = BandwidthGen(self.group, self.rng).generate(SESSION_TRACE_S)
+        self.session = AbrSession(self.spec, trace, mu=self.mu)
+        self._downloads = [0.0] * HISTORY_K
+        self._tputs = [0.0] * HISTORY_K
 
     @property
     def obs_dim(self):
-        return 2 * self.history_k + 3 + self.spec.n_levels
+        return 2 * HISTORY_K + 3 + self.spec.n_levels
 
     def observe(self, observed_buffer=None):
         buf = self.session.buffer_s if observed_buffer is None else observed_buffer
@@ -433,7 +427,7 @@ class AbrEnv:
         return np.concatenate([
             np.asarray(self._downloads) / 10.0,
             np.asarray(self._tputs) / 5000.0,
-            [buf / self.max_buffer_s,
+            [buf / MAX_BUFFER_S,
              (spec.n_chunks - self.session.chunk) / spec.n_chunks,
              self.session.prev_level / (spec.n_levels - 1)],
             next_sizes / size_scale,
@@ -459,8 +453,7 @@ class AbrEnv:
         fict_rebuffer = self.guard.note_download(info["download_s"]) if self.guard else 0.0
         fiction = self.guard is not None and self.guard.fict_buffer is not None
         if fiction:
-            q, pen = info["quality"], info["smoothness_penalty"]
-            reward = q - pen - self.mu * fict_rebuffer
+            reward = qoe(info["quality"], info["quality_prev"], fict_rebuffer, self.mu)
             observed_buffer = self.guard.fict_buffer
         else:
             reward = info["qoe"]

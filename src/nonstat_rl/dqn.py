@@ -67,9 +67,6 @@ class DqnLearner:
             return int(rng.integers(self.n_actions))
         return int(np.argmax(self.online.forward(obs)))
 
-    def act_greedy(self, obs):
-        return int(np.argmax(self.online.forward(obs)))
-
     def bellman_targets(self, rewards, next_states, dones):
         """y = r + gamma * (1-done) * Q_target(s', argmax_a Q_online(s', a))."""
         a_star = np.argmax(self.online.forward(next_states), axis=1)

@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ConfigError, UsageError
 
 VAR_FLOOR = 1e-6
+EM_MAX_ITER = 200
+EM_TOL = 1e-8  # stop once the mean log-likelihood moves less than this
 
 
 class GmmDetector:
@@ -32,7 +34,7 @@ class GmmDetector:
     favor a different component.
     """
 
-    def __init__(self, n_components, dwell=4, seed=0, max_iter=200, tol=1e-8):
+    def __init__(self, n_components, dwell=4, seed=0):
         if n_components < 1:
             raise ConfigError("need at least one component")
         if dwell < 1:
@@ -40,8 +42,6 @@ class GmmDetector:
         self.n_components = n_components
         self.dwell = dwell
         self.seed = seed
-        self.max_iter = max_iter
-        self.tol = tol
         self.means = None
         self.variances = None
         self.weights = None
@@ -78,7 +78,7 @@ class GmmDetector:
         weights = np.full(k, 1.0 / k)
 
         prev_ll = -np.inf
-        for _ in range(self.max_iter):
+        for _ in range(EM_MAX_ITER):
             log_norm = np.log(2.0 * np.pi * variances).sum(axis=1)
             log_resp = self._log_prob(x, means, variances, log_norm) + np.log(weights)
             norm = _logsumexp(log_resp)
@@ -89,7 +89,7 @@ class GmmDetector:
             means = (resp.T @ x) / nk[:, None]
             variances = (resp.T @ (x * x)) / nk[:, None] - means**2
             variances = np.maximum(variances, VAR_FLOOR)
-            if abs(ll - prev_ll) < self.tol:
+            if abs(ll - prev_ll) < EM_TOL:
                 break
             prev_ll = ll
 
@@ -247,8 +247,8 @@ class SafetyMonitor:
     `safe_threshold`; in between it holds its previous state.
     """
 
-    unsafe_threshold: float = 50.0
-    safe_threshold: float = 3.0
+    unsafe_threshold: float
+    safe_threshold: float
     controller: str = "agent"
     transitions: list = field(default_factory=list)
 

@@ -214,6 +214,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ConfigError(f"label_noise must be in [0, 1], got {self.label_noise}")
+        if self.mu < 0:
+            raise ConfigError(f"mu must be >= 0, got {self.mu}")
         if self.expert_mode == "oracle" and (self.detector != "truth" or self.label_noise > 0):
             raise ConfigError("oracle mode requires clean ground-truth labels")
 
@@ -339,7 +341,8 @@ class _Straggler(_Case):
         super().__init__(cfg, st.StragglerSim(
             self.presets[cfg.scenario.workload_at(0)[0]], n_servers=cfg.n_servers,
             seed=seed, safeguard_enabled=cfg.safeguard))
-        self.monitor = SafetyMonitor() if cfg.safeguard else None
+        self.monitor = (SafetyMonitor(st.UNSAFE_QUEUE, st.SAFE_QUEUE) if cfg.safeguard
+                        else None)
         self._latencies = []
 
     def net(self, head, out, rng):
@@ -357,7 +360,7 @@ class _Straggler(_Case):
         controller = ("agent" if self.monitor is None
                       else self.monitor.step(sim.last_window_max_queue, t=sim.now))
         if controller == "default":
-            return st.default_policy_action(), controller
+            return st.NO_HEDGE_ACTION, controller
         return agent_act(), controller
 
     def _record(self, res):
@@ -677,6 +680,13 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
     return s, windows, detector
 
 
+def _stationary(cfg, workload_key, epochs, seed):
+    """`cfg` as a run on one workload, for oracle and checkpoint pretraining
+    and frozen-policy evaluation: clean labels (one expert), no artifacts."""
+    return replace(cfg, scenario=scenario_stationary(workload_key, epochs), seed=seed,
+                   expert_mode="multi", detector="truth", label_noise=0.0, out_dir="")
+
+
 def _pretrain_oracle_experts(cfg):
     """An ExpertManager holding one converged expert per scenario workload,
     each trained on a stationary run with the same settings (exactly a plain
@@ -684,11 +694,7 @@ def _pretrain_oracle_experts(cfg):
     pretrained = {}
     for key in cfg.scenario.keys:
         label = cfg.scenario.label_of[key]
-        sub = replace(
-            cfg, scenario=scenario_stationary(key, cfg.t_c),
-            expert_mode="multi", detector="truth", label_noise=0.0,
-            out_dir="", seed=cfg.seed + 7919 * (label + 1),
-        )
+        sub = _stationary(cfg, key, cfg.t_c, cfg.seed + 7919 * (label + 1))
         pretrained[label] = run_experiment(sub).experts[0]
     manager = ExpertManager(pretrained.__getitem__, cfg.t_c, mode="multi")
     for label in pretrained:
@@ -791,8 +797,7 @@ def evaluate_policy(cfg, policy_fn, workload_key, epochs, seed):
     A frozen run of the control loop on one stationary workload:
     `policy_fn(obs, rng)` is the only expert, the straggler monitor still
     hands off (with `cfg.safeguard`), the ABR training guard is absent."""
-    sub = replace(cfg, scenario=scenario_stationary(workload_key, epochs), seed=seed,
-                  detector="truth", label_noise=0.0, out_dir="")
+    sub = _stationary(cfg, workload_key, epochs, seed)
     case = _CASES[sub.env](sub, seed)
     experts = ExpertManager(lambda label: policy_fn, sub.t_c)
     summary = _loop(sub, case, experts, lambda rec, obs, rng: rec.learner(obs, rng),
@@ -800,12 +805,9 @@ def evaluate_policy(cfg, policy_fn, workload_key, epochs, seed):
     return float(np.mean([m for m in summary.epoch_metric if m is not None]))
 
 
-def pretrain_checkpoint(cfg, workload_key, ckpt_dir, seed=None):
+def pretrain_checkpoint(cfg, workload_key, ckpt_dir):
     """Train on one stationary workload and save the policy checkpoint."""
-    sub = replace(cfg, scenario=scenario_stationary(workload_key, cfg.t_c),
-                  expert_mode="multi", detector="truth", out_dir="",
-                  seed=cfg.seed if seed is None else seed)
-    summary = run_experiment(sub)
+    summary = run_experiment(_stationary(cfg, workload_key, cfg.t_c, cfg.seed))
     summary.experts[0].save(os.path.join(ckpt_dir, workload_key))
     return summary
 
@@ -829,7 +831,7 @@ def cross_eval(train_key, test_key, ckpt_dir, cfg, eval_epochs=25, seed=1234):
     """
     policy = _greedy_policy_from_checkpoint(ckpt_dir, train_key)
     matched = _greedy_policy_from_checkpoint(ckpt_dir, test_key)
-    no_hedge = lambda obs, rng: st.default_policy_action()
+    no_hedge = lambda obs, rng: st.NO_HEDGE_ACTION
     l_policy = evaluate_policy(cfg, policy, test_key, eval_epochs, seed)
     l_matched = evaluate_policy(cfg, matched, test_key, eval_epochs, seed)
     l_nohedge = evaluate_policy(cfg, no_hedge, test_key, eval_epochs, seed)
@@ -856,14 +858,13 @@ def aggregate_boxstats(groups):
     return rows
 
 
-def aggregate_timeseries_files(paths, group_col="workload_true",
-                               value_col="metric"):
+def aggregate_timeseries_files(paths, group_col="workload_true"):
     """Pool metric values from timeseries.csv files, grouped by a column."""
     groups = {}
     for path in paths:
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                if row[value_col] == "":
+                if row["metric"] == "":
                     continue
-                groups.setdefault(row[group_col], []).append(float(row[value_col]))
+                groups.setdefault(row[group_col], []).append(float(row["metric"]))
     return groups

@@ -14,13 +14,16 @@ import numpy as np
 BOX_PERCENTILES = (1, 25, 50, 75, 99)
 
 
+def _at_rank(ordered, pct):
+    """Nearest-rank percentile of an ascending sequence."""
+    if len(ordered) == 0:
+        raise ValueError("percentile of empty sample")
+    return float(ordered[max(0, math.ceil(pct / 100.0 * len(ordered)) - 1)])
+
+
 def nearest_rank(values, pct):
     """Nearest-rank percentile; `values` need not be sorted."""
-    arr = np.sort(np.asarray(values, dtype=np.float64))
-    if arr.size == 0:
-        raise ValueError("percentile of empty sample")
-    idx = max(0, math.ceil(pct / 100.0 * arr.size) - 1)
-    return float(arr[idx])
+    return _at_rank(sorted(values), pct)
 
 
 @dataclass
@@ -38,9 +41,9 @@ class BoxStats:
     @classmethod
     def from_values(cls, values):
         arr = np.sort(np.asarray(values, dtype=np.float64))
-        # `nearest_rank` rejects an empty sample; the mean is taken over the
+        # `_at_rank` rejects an empty sample; the mean is taken over the
         # sorted sample, the summation order stored summaries were written with
-        return cls(*(nearest_rank(arr, p) for p in BOX_PERCENTILES),
+        return cls(*(_at_rank(arr, p) for p in BOX_PERCENTILES),
                    float(arr.mean()), int(arr.size))
 
     def row(self):

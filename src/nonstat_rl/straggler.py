@@ -37,19 +37,19 @@ from .errors import ConfigError
 from .stats import nearest_rank
 
 TIMEOUTS_MS = (3.0, 10.0, 30.0, 60.0, 100.0, 300.0, math.inf)
-NO_HEDGE_ACTION = len(TIMEOUTS_MS) - 1
+NO_HEDGE_ACTION = len(TIMEOUTS_MS) - 1  # the safeguard's default policy
 WINDOW_MS = 500.0
+M_WINDOWS = 4            # past windows in observations and workload features
+SLOWDOWN_FACTOR = 10.0   # service-time inflation of a straggling copy
+SLOWDOWN_PROB = 0.1
+UNSAFE_QUEUE = 50        # safeguard: a queue this long hands control off ...
+SAFE_QUEUE = 3           # ... until every queue is at most this long
 
 # fixed normalization constants for observations and workload features
 QUEUE_SCALE = 50.0
 PROC_SCALE = 1000.0
 RATE_SCALE = 100.0
 FEATURE_SCALES = (RATE_SCALE, PROC_SCALE)
-
-
-def default_policy_action(state=None):
-    """The safeguard's default policy: never hedge."""
-    return NO_HEDGE_ACTION
 
 
 # --------------------------------------------------------------------------
@@ -146,13 +146,13 @@ class TraceWorkload:
         )
 
 
-def write_trace_csv(path, workload, n_windows, window_ms=WINDOW_MS):
+def write_trace_csv(path, workload, n_windows):
     """Materialize any workload into the trace CSV schema."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t_ms", "arrivals_per_s", "mean_size_ms"])
         for i in range(n_windows):
-            t = i * window_ms
+            t = i * WINDOW_MS
             w.writerow([f"{t:.1f}", f"{workload.rate_at(t):.6f}",
                         f"{workload.mean_size_at(t):.6f}"])
 
@@ -211,19 +211,15 @@ class StepResult:
 class StragglerSim:
     """Event-driven proxy simulation advanced one action window at a time."""
 
-    def __init__(self, workload, n_servers=10, seed=0, slowdown_factor=10.0,
-                 slowdown_prob=0.1, timeouts=TIMEOUTS_MS, window_ms=WINDOW_MS,
-                 m_windows=4, safeguard_enabled=False, unsafe_queue=50,
-                 safe_queue=3, keep_event_log=False):
+    def __init__(self, workload, n_servers=10, seed=0, slowdown_prob=SLOWDOWN_PROB,
+                 safeguard_enabled=False, unsafe_queue=UNSAFE_QUEUE,
+                 safe_queue=SAFE_QUEUE, keep_event_log=False):
         if n_servers < 2:
             raise ConfigError("need at least two servers to hedge")
         self.workload = workload
         self.n = n_servers
-        self.k = slowdown_factor
         self.p = slowdown_prob
-        self.timeouts = tuple(timeouts)
-        self.window_ms = window_ms
-        self.m_windows = m_windows
+        self.timeouts = TIMEOUTS_MS
         self.safeguard_enabled = safeguard_enabled
         self.unsafe_queue = unsafe_queue
         self.safe_queue = safe_queue
@@ -275,10 +271,11 @@ class StragglerSim:
         return self.rng.expovariate(rate / 1000.0)  # rate per ms
 
     def draw_service_time(self, nominal):
-        """nominal * k with probability p, else nominal (independent per copy)."""
+        """nominal * SLOWDOWN_FACTOR with probability p, else nominal
+        (independent per copy)."""
         if nominal <= 0:
             raise ConfigError("nominal size must be positive")
-        return nominal * self.k if self.rng.random() < self.p else nominal
+        return nominal * SLOWDOWN_FACTOR if self.rng.random() < self.p else nominal
 
     def _touch(self, s, t):
         """Accrue server `s`'s queue-length and busy time up to `t`."""
@@ -451,14 +448,14 @@ class StragglerSim:
         if not 0 <= action < len(self.timeouts):
             raise ConfigError(f"action {action} out of range")
         self._window_timeout = self.timeouts[action]
-        window_end = self.now + self.window_ms
+        window_end = self.now + WINDOW_MS
         lat, procs, arrivals, hedges, max_queue = self._run(window_end)
 
         self.now = window_end
         for s in range(self.n):
             self._touch(s, window_end)
-        avg_q = [self.q_acc[s] / self.window_ms for s in range(self.n)]
-        self.load_last = sum(self.busy_acc) / (self.n * self.window_ms)
+        avg_q = [self.q_acc[s] / WINDOW_MS for s in range(self.n)]
+        self.load_last = sum(self.busy_acc) / (self.n * WINDOW_MS)
         self.q_acc = [0.0] * self.n
         self.busy_acc = [0.0] * self.n
 
@@ -468,9 +465,9 @@ class StragglerSim:
 
         avg_proc = sum(procs) / len(procs) if procs else 0.0
         max_proc = max(procs) if procs else 0.0
-        rate = arrivals / (self.window_ms / 1000.0)
+        rate = arrivals / (WINDOW_MS / 1000.0)
         self.window_history.append((avg_proc, max_proc, rate))
-        if len(self.window_history) > self.m_windows:
+        if len(self.window_history) > M_WINDOWS:
             self.window_history.pop(0)
         self.last_window_max_queue = max_queue
 
@@ -491,7 +488,7 @@ class StragglerSim:
         rate), load, guard flag], all normalized by fixed constants."""
         vals = [q / QUEUE_SCALE for q in self.qlen]
         vals += [q / QUEUE_SCALE for q in avg_q] if avg_q is not None else [0.0] * self.n
-        hist = [(0.0, 0.0, 0.0)] * (self.m_windows - len(self.window_history))
+        hist = [(0.0, 0.0, 0.0)] * (M_WINDOWS - len(self.window_history))
         for ap, mp, rt in hist + self.window_history:
             vals += (ap / PROC_SCALE, mp / PROC_SCALE, rt / RATE_SCALE)
         vals += (self.load_last, 1.0 if self.latch else 0.0)
@@ -499,93 +496,54 @@ class StragglerSim:
 
     @property
     def obs_dim(self):
-        return 2 * self.n + 3 * self.m_windows + 2
+        return 2 * self.n + 3 * M_WINDOWS + 2
 
     def workload_features(self):
         """(mean arrival rate, mean observed processing time) over the last
-        m windows, in raw units."""
+        M_WINDOWS windows, in raw units."""
         if not self.window_history:
             return np.zeros(2)
         rates = [w[2] for w in self.window_history]
         procs = [w[0] for w in self.window_history]
         return np.array([sum(rates) / len(rates), sum(procs) / len(procs)])
 
-    def drain(self, max_ms=10_000_000.0):
+    def drain(self):
         """Stop arrivals and run until every job has completed."""
         self.stop_arrivals()
-        self._run(self.now + max_ms, arrivals=False)
-
-
-# --------------------------------------------------------------------------
-# evaluation metrics
-
-
-@dataclass
-class MetricWindow:
-    """Latency percentile summary over one evaluation window."""
-
-    t_start_ms: float
-    count: int
-    p1: float
-    p25: float
-    p50: float
-    p75: float
-    p95: float
-    p99: float
-
-
-def metric_windows(samples, window_ms=300_000.0):
-    """Bucket (t_ms, latency) samples into fixed windows of percentiles.
-
-    Empty windows produce no row.
-    """
-    buckets = {}
-    for t, lat in samples:
-        buckets.setdefault(int(t // window_ms), []).append(lat)
-    out = []
-    for idx in sorted(buckets):
-        vals = buckets[idx]
-        out.append(MetricWindow(
-            t_start_ms=idx * window_ms,
-            count=len(vals),
-            p1=nearest_rank(vals, 1), p25=nearest_rank(vals, 25),
-            p50=nearest_rank(vals, 50), p75=nearest_rank(vals, 75),
-            p95=nearest_rank(vals, 95), p99=nearest_rank(vals, 99),
-        ))
-    return out
+        self._run(self.now + 10_000_000.0, arrivals=False)
 
 
 # --------------------------------------------------------------------------
 # synthetic labeled feature streams (for detector evaluation)
 
 
-def feature_stream(workload, n_windows, rng, m_windows=4, window_s=0.5,
-                   slowdown_factor=10.0, slowdown_prob=0.1, t0_ms=0.0):
+def feature_stream(workload, n_windows, rng):
     """Per-window workload features as the proxy would measure them.
 
     Draws Poisson arrival counts and lognormal (occasionally inflated)
     processing times directly from the generative description, then applies
-    the same m-window smoothing as the live feature extractor. Returns an
+    the same M_WINDOWS smoothing as the live feature extractor. Returns an
     (n_windows, 2) array of (arrival rate, mean processing time).
     """
+    window_s = WINDOW_MS / 1000.0
     raw = np.empty((n_windows, 2))
     prev_proc = 0.0
     for i in range(n_windows):
-        t_ms = t0_ms + i * window_s * 1000.0
+        t_ms = i * WINDOW_MS
         lam = workload.rate_at(t_ms) * window_s
         count = rng.poisson(lam)
         if count > 0:
             mean = workload.mean_size_at(t_ms)
             mu = math.log(mean) - 0.5 * workload.sigma**2
             sizes = rng.lognormal(mu, workload.sigma, size=count)
-            inflate = rng.random(count) < slowdown_prob
-            proc = float(np.mean(np.where(inflate, sizes * slowdown_factor, sizes)))
+            inflate = rng.random(count) < SLOWDOWN_PROB
+            proc = float(np.mean(np.where(inflate, sizes * SLOWDOWN_FACTOR, sizes)))
             prev_proc = proc
         else:
             proc = prev_proc
         raw[i] = (count / window_s, proc)
     feats = np.empty_like(raw)
     for i in range(n_windows):
-        lo = max(0, i - m_windows + 1)
+        lo = max(0, i - M_WINDOWS + 1)
         feats[i] = raw[lo:i + 1].mean(axis=0)
     return feats

@@ -112,7 +112,7 @@ class TestA2cUpdate:
         learner = make_learner(lr=0.01, weight_decay=0.0, entropy_start=0.0)
         rng = np.random.default_rng(3)
         state = np.ones(3)
-        p_start = learner.action_probs(state)[0]
+        p_start = learner.actor.forward(state)[0]
         for _ in range(50):
             batch = EpisodeBatch()
             for _ in range(16):
@@ -121,7 +121,7 @@ class TestA2cUpdate:
                                      np.array([1.0 if a == 0 else 0.0]),
                                      state, terminal=True))
             learner.update(batch)
-        p_end = learner.action_probs(state)[0]
+        p_end = learner.actor.forward(state)[0]
         assert p_end > p_start
         assert p_end > 0.9
 

@@ -6,11 +6,12 @@ applied alongside the session."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from nonstat_rl.abr import (BITRATES_KBPS, USER_GROUPS, AbrEnv, AbrSession,
-                            BandwidthGen, FakeReplayGuard, UserGroupParams,
-                            VideoSpec, bba_action, guard_step, load_bandwidth_csv,
-                            qoe, write_bandwidth_csv)
+from nonstat_rl.abr import (BITRATES_KBPS, MAX_BUFFER_S, USER_GROUPS, AbrEnv,
+                            AbrSession, BandwidthGen, FakeReplayGuard,
+                            UserGroupParams, VideoSpec, bba_action, guard_step,
+                            load_bandwidth_csv, qoe, write_bandwidth_csv)
 from nonstat_rl.errors import ConfigError
 
 
@@ -47,7 +48,8 @@ class TestBufferEquation:
 
     def test_buffer_capped_at_request_threshold(self):
         spec = flat_spec([0.5] * 10)
-        s = AbrSession(spec, np.full(100, 1000.0), max_buffer_s=25.0)
+        s = AbrSession(spec, np.full(100, 1000.0))
+        assert MAX_BUFFER_S == 25.0
         s.buffer_s = 24.0
         clock_before = s.clock_s
         info = s.step(0)
@@ -74,7 +76,7 @@ class TestBufferEquation:
             info = s.step(int(rng.integers(spec.n_levels)))
             d = info["download_s"]
             want_rebuffer = max(0.0, d - b)
-            b = min(max(0.0, b - d) + spec.chunk_s, s.max_buffer_s)
+            b = min(max(0.0, b - d) + spec.chunk_s, MAX_BUFFER_S)
             assert info["rebuffer_s"] == pytest.approx(want_rebuffer, abs=1e-9)
             assert info["buffer_s"] == pytest.approx(b, abs=1e-9)
             assert b >= 0.0
@@ -105,13 +107,13 @@ class TestBufferEquation:
 
 class TestQoe:
     def test_examples(self):
-        assert qoe(3.0, 5.0, 2.0, 1.0, 4.0, 4.3) == pytest.approx(1.0)
-        assert qoe(1.0, 1.0, 6.0, 1.0, 4.0, 4.3) == pytest.approx(-7.6)
-        assert qoe(7.0, 7.0, 2.0, 1.0, 4.0, 0.0) == pytest.approx(7.0)
+        assert qoe(3.0, 5.0, 0.0, 4.3) == pytest.approx(1.0)
+        assert qoe(1.0, 1.0, 2.0, 4.3) == pytest.approx(-7.6)
+        assert qoe(7.0, 7.0, 2.0, 0.0) == pytest.approx(7.0)
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigError):
-            qoe(1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
+            AbrSession(flat_spec([1.0]), np.full(10, 1000.0), mu=-1.0)
 
 
 class TestBba:
@@ -281,6 +283,22 @@ class TestFakeReplayGuard:
         # drop below: guard takes over, fiction cleared
         _, obs3, who = guard_step(g, 3.0, 0, 0, rng)
         assert who == "guard" and obs3 == 3.0 and g.fict_buffer is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(start=hst.floats(0.0, MAX_BUFFER_S),
+           sizes=hst.lists(hst.floats(0.01, 20.0), min_size=1, max_size=30),
+           trace=hst.lists(hst.floats(100.0, 5000.0), min_size=1, max_size=20),
+           levels=hst.lists(hst.integers(0, 1), min_size=30, max_size=30))
+    def test_fictitious_buffer_follows_the_session(self, start, sizes, trace, levels):
+        # the same start buffer and the same downloads: the fiction must
+        # rebuffer, drain and cap exactly as the real session does
+        s = AbrSession(flat_spec(sizes), np.asarray(trace))
+        g = FakeReplayGuard()
+        s.buffer_s = g.fict_buffer = start
+        for level in levels[:len(sizes)]:
+            info = s.step(level)
+            assert g.note_download(info["download_s"]) == info["rebuffer_s"]
+            assert g.fict_buffer == info["buffer_s"]
 
     def test_fictitious_buffer_never_above_real_at_assignment(self):
         rng = np.random.default_rng(5)

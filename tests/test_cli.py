@@ -10,6 +10,11 @@ from nonstat_rl.cli import main
 from nonstat_rl.harness import ExperimentConfig, scenario_stationary
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_run_with_flags(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["run", "--seed", "3", "--out-dir", str(out),
@@ -43,7 +48,7 @@ def test_gen_traces_straggler(tmp_path):
     out = tmp_path / "trace.csv"
     assert main(["gen-traces", "--kind", "straggler", "--preset", "A",
                  "--windows", "10", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     assert len(rows) == 10
     assert float(rows[0]["arrivals_per_s"]) == 25.0
 
@@ -52,7 +57,7 @@ def test_gen_traces_abr(tmp_path):
     out = tmp_path / "bw.csv"
     assert main(["gen-traces", "--kind", "abr", "--preset", "UG2",
                  "--duration-s", "30", "--seed", "1", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     assert len(rows) == 30
     assert all(float(r["throughput_kbps"]) > 0 for r in rows)
 
@@ -72,7 +77,7 @@ def test_aggregate(tmp_path):
             w.writerow([i, 0, wk, 0, "agent", m])
     out = tmp_path / "agg.csv"
     assert main(["aggregate", "--inputs", str(ts), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     assert [r["workload_true"] for r in rows] == ["A", "B"]
     assert float(rows[0]["count"]) == 2
 
@@ -84,7 +89,7 @@ def test_cross_eval_with_pretrain(tmp_path, capsys):
                "--eval-epochs", "3", "--seed", "4",
                "--out", str(tmp_path / "ce.csv")])
     assert rc == 0
-    rows = list(csv.DictReader(open(tmp_path / "ce.csv")))
+    rows = read_rows(tmp_path / "ce.csv")
     assert float(rows[0]["normalized"]) == pytest.approx(1.0)
 
 
@@ -107,9 +112,10 @@ def _json(**changes):
     ["--env", "abr", "--scenario", "stationary:A"],
     ["--episode-len", "0"],
     ["--label-noise", "5"],
+    _json(mu=-1.0),
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-string-number",
         "unknown-workload", "workload-of-other-env",
-        "zero-episode-len", "label-noise-above-one"])
+        "zero-episode-len", "label-noise-above-one", "negative-mu"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
         flags = flags(tmp_path)

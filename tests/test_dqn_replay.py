@@ -103,12 +103,15 @@ class TestEpsilonSchedule:
         learner = DqnLearner(qnet, gamma=0.9, random_epochs=5, decay_epochs=10)
         rng = np.random.default_rng(6)
         obs = np.ones(2)
-        greedy = learner.act_greedy(obs)
+        greedy = int(np.argmax(qnet.forward(obs)))
         assert all(learner.act(obs, rng, schedule_epoch=99) == greedy for _ in range(100))
 
     def test_argmax_tie_breaks_lowest_index(self):
-        learner = DqnLearner(fixed_q_net([2.0, 2.0]), gamma=0.9)
-        assert learner.act_greedy(np.zeros(1)) == 0
+        learner = DqnLearner(fixed_q_net([2.0, 2.0]), gamma=0.9, random_epochs=0,
+                             decay_epochs=0)
+        rng = np.random.default_rng(0)
+        assert all(learner.act(np.zeros(1), rng, schedule_epoch=0) == 0
+                   for _ in range(20))
 
 
 class TestChainMdpOracle:

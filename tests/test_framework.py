@@ -8,7 +8,8 @@ import pytest
 from nonstat_rl.errors import ConfigError, UsageError
 from nonstat_rl.framework import (ExpertManager, GmmDetector, SafetyMonitor,
                                   augment_observation)
-from nonstat_rl.straggler import WORKLOAD_PRESETS, feature_stream
+from nonstat_rl.straggler import (SAFE_QUEUE, UNSAFE_QUEUE, WORKLOAD_PRESETS,
+                                  feature_stream)
 
 
 def two_cluster_data(n_each=300, seed=0):
@@ -181,22 +182,22 @@ class TestExpertManager:
 
 class TestSafetyMonitor:
     def test_unsafe_trigger(self):
-        mon = SafetyMonitor()
+        mon = SafetyMonitor(UNSAFE_QUEUE, SAFE_QUEUE)
         assert mon.step(51) == "default"
 
     def test_return_to_safe(self):
-        mon = SafetyMonitor()
+        mon = SafetyMonitor(UNSAFE_QUEUE, SAFE_QUEUE)
         mon.step(51)
         assert mon.step(3) == "agent"
 
     def test_hysteresis_band_holds_state(self):
-        mon = SafetyMonitor()
+        mon = SafetyMonitor(UNSAFE_QUEUE, SAFE_QUEUE)
         assert mon.step(20) == "agent"
         mon.step(51)
         assert mon.step(20) == "default"
 
     def test_exactly_one_transition_each_way_on_monotone_trace(self):
-        mon = SafetyMonitor()
+        mon = SafetyMonitor(UNSAFE_QUEUE, SAFE_QUEUE)
         readings = list(range(0, 80, 5)) + list(range(80, -1, -5))
         tags = [mon.step(r) for r in readings]
         flips = sum(1 for a, b in zip(tags, tags[1:]) if a != b)

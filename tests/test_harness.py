@@ -20,7 +20,7 @@ from nonstat_rl.harness import (ExperimentConfig, RunSummary, Scenario,
                                 scenario_cyclic, scenario_drift,
                                 scenario_fastswitch, scenario_new_workload,
                                 scenario_rare_reoccur, scenario_stationary)
-from nonstat_rl.straggler import NO_HEDGE_ACTION, default_policy_action
+from nonstat_rl.straggler import NO_HEDGE_ACTION
 
 
 def tiny_cfg(**kw):
@@ -253,7 +253,7 @@ class TestCrossEval:
 
     def test_no_hedging_policy_is_zero_by_construction(self, checkpoints):
         ckpt, cfg = checkpoints
-        no_hedge = lambda obs, rng: default_policy_action()
+        no_hedge = lambda obs, rng: NO_HEDGE_ACTION
         l_nh = evaluate_policy(cfg, no_hedge, "C", 8, seed=1234)
         matched = cross_eval("C", "C", ckpt, cfg, eval_epochs=8)
         value = (l_nh - l_nh) / 1.0
@@ -262,6 +262,14 @@ class TestCrossEval:
     def test_mismatched_pair_degrades(self, checkpoints):
         ckpt, cfg = checkpoints
         assert cross_eval("A", "C", ckpt, cfg, eval_epochs=8) < 1.0
+
+    def test_pretrain_checkpoint_ignores_label_noise(self, tmp_path):
+        # one stationary workload is one environment: a noisy label would
+        # invent a second expert and take epochs from the saved one
+        cfg = tiny_cfg(label_noise=0.5, t_c=8, seed=3)
+        s = pretrain_checkpoint(cfg, "C", str(tmp_path))
+        assert [e["label_used"] for e in s.training_log] == [0] * 8
+        assert list(s.experts) == [0] and s.experts[0].updates == 8
 
     def test_missing_checkpoint_is_error(self, checkpoints):
         ckpt, cfg = checkpoints

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from nonstat_rl.errors import ConfigError
-from nonstat_rl.stats import nearest_rank
-from nonstat_rl.straggler import (NO_HEDGE_ACTION, TIMEOUTS_MS, WORKLOAD_PRESETS,
-                                  FastSwitchWorkload, StationaryWorkload,
-                                  StragglerSim, TraceWorkload, default_policy_action,
-                                  feature_stream, metric_windows, write_trace_csv)
+from nonstat_rl.stats import BoxStats, nearest_rank
+from nonstat_rl.straggler import (NO_HEDGE_ACTION, SAFE_QUEUE, TIMEOUTS_MS,
+                                  UNSAFE_QUEUE, WORKLOAD_PRESETS, FastSwitchWorkload,
+                                  StationaryWorkload, StragglerSim, TraceWorkload,
+                                  feature_stream, write_trace_csv)
 
 
 def quiet_sim(n_servers=2, slowdown_prob=0.0, **kw):
@@ -124,37 +124,36 @@ class TestServiceDraw:
 
 class TestDefaultPolicy:
     def test_always_no_hedge(self):
-        assert default_policy_action() == NO_HEDGE_ACTION
-        assert math.isinf(TIMEOUTS_MS[default_policy_action()])
+        assert NO_HEDGE_ACTION == len(TIMEOUTS_MS) - 1
+        assert math.isinf(TIMEOUTS_MS[NO_HEDGE_ACTION])
 
     def test_composed_with_monitor_at_queue_51(self):
         from nonstat_rl.framework import SafetyMonitor
-        mon = SafetyMonitor()
-        action = (default_policy_action() if mon.step(51) == "default" else 0)
+        mon = SafetyMonitor(UNSAFE_QUEUE, SAFE_QUEUE)
+        action = (NO_HEDGE_ACTION if mon.step(51) == "default" else 0)
         assert action == NO_HEDGE_ACTION
 
 
 class TestMetricWindows:
+    """Nearest-rank percentiles of one window of samples."""
+
     def test_nearest_rank_1_to_100(self):
         assert nearest_rank(list(range(1, 101)), 95) == 95
 
     def test_constant_samples_all_percentiles_equal(self):
-        rows = metric_windows([(float(i), 42.0) for i in range(50)], window_ms=1000.0)
-        for r in rows:
-            assert r.p1 == r.p25 == r.p50 == r.p75 == r.p95 == r.p99 == 42.0
+        box = BoxStats.from_values([42.0] * 50)
+        assert box.p1 == box.p25 == box.p50 == box.p75 == box.p99 == 42.0
+        assert nearest_rank([42.0] * 50, 95) == 42.0
 
     def test_lognormal_against_interpolating_oracle(self):
         rng = np.random.default_rng(17)
         vals = rng.lognormal(3.0, 0.7, size=10_000)
-        rows = metric_windows([(0.0, v) for v in vals], window_ms=1e9)
-        for pct, got in [(25, rows[0].p25), (50, rows[0].p50), (75, rows[0].p75),
-                         (95, rows[0].p95), (99, rows[0].p99)]:
+        box = BoxStats.from_values(vals)
+        for pct, got in [(25, box.p25), (50, box.p50), (75, box.p75),
+                         (95, nearest_rank(vals, 95)), (99, box.p99)]:
             want = float(np.percentile(vals, pct))  # linear interpolation
             assert abs(got - want) / want < 0.02
-
-    def test_empty_window_omitted(self):
-        rows = metric_windows([(100.0, 1.0), (2500.0, 2.0)], window_ms=1000.0)
-        assert [r.t_start_ms for r in rows] == [0.0, 2000.0]
+            assert got == nearest_rank(list(vals), pct)
 
 
 class TestInvariants:
