@@ -87,8 +87,8 @@ class A2cLearner:
         self.entropy_start = entropy_start
         self.entropy_epochs = entropy_epochs
         self.normalize_advantages = normalize_advantages
-        self.actor_opt = Adam(actor.parameters(), lr=lr, weight_decay=weight_decay)
-        self.critic_opt = Adam(critic.parameters(), lr=lr, weight_decay=weight_decay)
+        self.actor_opt = Adam(actor.params, lr=lr, weight_decay=weight_decay)
+        self.critic_opt = Adam(critic.params, lr=lr, weight_decay=weight_decay)
         self.updates = 0
 
     def save(self, directory):
@@ -185,8 +185,8 @@ class A2cLearner:
             raise DivergenceError(
                 f"non-finite loss (policy={policy_loss}, value={value_loss})"
             )
-        self.actor_opt.step(self.actor.parameters(), self.actor.grads)
-        self.critic_opt.step(self.critic.parameters(), self.critic.grads)
+        self.actor_opt.step(self.actor.params, self.actor.grad)
+        self.critic_opt.step(self.critic.params, self.critic.grad)
         self.updates += 1
         return {
             "policy_loss": float(policy_loss),

@@ -357,13 +357,14 @@ class FakeReplayGuard:
         self.fict_buffer = None
         return "guard", float(real_buffer)
 
-    def note_download(self, download_s):
-        """Advance the fictitious buffer by a real download; returns the
-        fictitious rebuffer time (0 when no fiction is active)."""
+    def note_download(self, download_s, chunk_s):
+        """Advance the fictitious buffer by a real download of a `chunk_s`
+        chunk; returns the fictitious rebuffer time (0 when no fiction is
+        active)."""
         if self.fict_buffer is None:
             return 0.0
         fict_rebuffer, self.fict_buffer, _ = buffer_step(self.fict_buffer, download_s,
-                                                         CHUNK_S)
+                                                         chunk_s)
         return fict_rebuffer
 
 
@@ -450,7 +451,8 @@ class AbrEnv:
         if len(self._tput_window) > 25:
             self._tput_window.pop(0)
 
-        fict_rebuffer = self.guard.note_download(info["download_s"]) if self.guard else 0.0
+        fict_rebuffer = (self.guard.note_download(info["download_s"], self.spec.chunk_s)
+                         if self.guard else 0.0)
         fiction = self.guard is not None and self.guard.fict_buffer is not None
         if fiction:
             reward = qoe(info["quality"], info["quality_prev"], fict_rebuffer, self.mu)

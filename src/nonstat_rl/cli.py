@@ -142,12 +142,11 @@ def build_parser():
     r.add_argument("--config", help="JSON config file (overrides most flags)")
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--out-dir", required=True)
-    r.add_argument("--env", choices=("straggler", "abr"), default="straggler")
-    r.add_argument("--learner", choices=("a2c", "dqn"), default="a2c")
-    r.add_argument("--expert-mode", choices=("single", "multi", "oracle"),
-                   default="multi")
-    r.add_argument("--buffer", choices=("large", "small", "ltst", "multi"),
-                   default="ltst")
+    # ExperimentConfig checks these values: a bad one is a one-line config error
+    r.add_argument("--env", default="straggler")
+    r.add_argument("--learner", default="a2c")
+    r.add_argument("--expert-mode", default="multi")
+    r.add_argument("--buffer", default="ltst")
     r.add_argument("--scenario", default="I",
                    help="I | II | III | drift | fastswitch | stationary:<KEY>")
     r.add_argument("--cycles", type=int, default=2)
@@ -166,7 +165,7 @@ def build_parser():
     r.add_argument("--guard-anneal-epochs", type=int, default=None)
     r.add_argument("--workload-info", action="store_true")
     r.add_argument("--no-safeguard", action="store_true")
-    r.add_argument("--detector", choices=("truth", "gmm"), default="truth")
+    r.add_argument("--detector", default="truth")
     r.add_argument("--label-noise", type=float, default=0.0)
     r.add_argument("--paper-scale", action="store_true",
                    help="use the full-size epoch budgets")

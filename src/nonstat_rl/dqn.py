@@ -15,10 +15,10 @@ from .nets import Adam, clone_net, save_net
 
 
 def polyak_update(target_params, online_params, alpha):
-    """theta_target <- alpha * theta_online + (1 - alpha) * theta_target."""
-    for tp, op in zip(target_params, online_params):
-        tp *= 1.0 - alpha
-        tp += alpha * op
+    """theta_target <- alpha * theta_online + (1 - alpha) * theta_target,
+    in place on the target's flat parameter vector."""
+    target_params *= 1.0 - alpha
+    target_params += alpha * online_params
 
 
 class EpsilonSchedule:
@@ -47,7 +47,7 @@ class DqnLearner:
         self.polyak_alpha = polyak_alpha
         self.batch_size = batch_size
         self.schedule = EpsilonSchedule(random_epochs, decay_epochs)
-        self.opt = Adam(qnet.parameters(), lr=lr, weight_decay=weight_decay)
+        self.opt = Adam(qnet.params, lr=lr, weight_decay=weight_decay)
         self.updates = 0
 
     @property
@@ -89,9 +89,8 @@ class DqnLearner:
         grad_q = np.zeros_like(q)
         grad_q[rows, actions] = 2.0 * (q_a - y) / len(actions)
         self.online.backward(grad_q)
-        self.opt.step(self.online.parameters(), self.online.grads)
-        polyak_update(self.target.parameters(), self.online.parameters(),
-                      self.polyak_alpha)
+        self.opt.step(self.online.params, self.online.grad)
+        polyak_update(self.target.params, self.online.params, self.polyak_alpha)
         self.updates += 1
         return {"loss": loss, "mean_q": float(q_a.mean()), "n": len(actions)}
 

@@ -10,22 +10,12 @@ so there is no need for anything faster.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, UsageError
-
-
-def he_uniform_init(widths, rng):
-    """Fan-in scaled uniform weights, zero biases."""
-    weights, biases = [], []
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        limit = np.sqrt(6.0 / n_in)
-        weights.append(rng.uniform(-limit, limit, size=(n_out, n_in)))
-        biases.append(np.zeros(n_out))
-    return weights, biases
 
 
 def softmax(logits):
@@ -34,13 +24,38 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class Mlp:
+def _views(vec, shapes):
+    """Consecutive slices of a flat vector, reshaped to `shapes` in order."""
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(vec, cuts), shapes)]
+
+
+class _FlatNet:
+    """Parameters in one contiguous float64 vector `params`, gradients in a
+    `grad` vector of the same layout, both cut into arrays by `_shapes`."""
+
+    def parameters(self):
+        """Live views [W0, b0, W1, b1, ...] of `params`."""
+        return _views(self.params, self._shapes)
+
+    def set_parameters(self, params):
+        own = self.parameters()
+        if len(own) != len(params):
+            raise ConfigError("parameter count mismatch")
+        for dst, src in zip(own, params):
+            if dst.shape != np.shape(src):
+                raise ConfigError("parameter shape mismatch")
+            dst[...] = src
+
+
+class Mlp(_FlatNet):
     """Fully-connected net: ReLU hidden layers, softmax or identity head.
 
     `forward` is inference-only; `forward_train` additionally caches
     activations so `backward` can produce parameter gradients for an
     arbitrary upstream gradient on the outputs. Inputs may be a single
     vector or a (batch, width) array; gradients are summed over the batch.
+    Weights start fan-in scaled uniform, biases at zero.
     """
 
     def __init__(self, widths, head="identity", rng=None):
@@ -51,9 +66,21 @@ class Mlp:
         self.widths = list(widths)
         self.head = head
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.weights, self.biases = he_uniform_init(self.widths, rng)
+        self._shapes = [shape for n_in, n_out in zip(widths[:-1], widths[1:])
+                        for shape in ((n_out, n_in), (n_out,))]
+        size = sum(math.prod(shape) for shape in self._shapes)
+        self._bind(np.zeros(size), np.zeros(size))
+        for w in self.weights:
+            limit = np.sqrt(6.0 / w.shape[1])
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         self._cache = None
-        self.grads = None
+
+    def _bind(self, params, grad):
+        """Lay the layers' weights, biases and gradients over these vectors."""
+        self.params, self.grad = params, grad
+        views = _views(params, self._shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
+        self._grads = _views(grad, self._shapes)
 
     @property
     def out_dim(self):
@@ -70,43 +97,41 @@ class Mlp:
             )
         return x, squeeze
 
-    def forward(self, x):
-        x, squeeze = self._check_input(x)
-        a = x
+    def _layers(self, a, record=None):
+        """The layer loop over a (batch, width) input; appends each layer's
+        (input, pre-activation) pair to `record` if one is given."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w.T + b
+            if record is not None:
+                record.append((a, z))
             a = np.maximum(z, 0.0) if i < last else z
-        out = softmax(a) if self.head == "softmax" else a
+        return softmax(a) if self.head == "softmax" else a
+
+    def forward(self, x):
+        x, squeeze = self._check_input(x)
+        out = self._layers(x)
         return out[0] if squeeze else out
 
     def forward_train(self, x):
         """Forward pass that caches activations for a later `backward`."""
         x, squeeze = self._check_input(x)
-        acts = [x]  # post-activation of each layer, acts[0] = input
-        pre = []
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            pre.append(z)
-            a = np.maximum(z, 0.0) if i < last else z
-            acts.append(a)
-        out = softmax(a) if self.head == "softmax" else a
-        self._cache = (acts, pre, out, squeeze)
+        layers = []
+        out = self._layers(x, layers)
+        self._cache = (layers, out, squeeze)
         return out[0] if squeeze else out
 
     def backward(self, grad_out):
         """Gradients of a scalar loss w.r.t. all weights and biases.
 
         `grad_out` is dLoss/d(output) with the same shape as the last
-        `forward_train` result. Returns the gradient list (aligned with
-        `parameters()`); also stores it on `self.grads` and the input
-        gradient on `self.grad_input`.
+        `forward_train` result. Writes the gradient into `grad` and returns
+        its views (aligned with `parameters()`); stores the input gradient
+        on `self.grad_input`.
         """
         if self._cache is None:
             raise UsageError("backward called before forward_train")
-        acts, pre, out, squeeze = self._cache
+        layers, out, squeeze = self._cache
         g = np.asarray(grad_out, dtype=np.float64)
         if squeeze:
             g = g[None, :]
@@ -119,40 +144,19 @@ class Mlp:
         else:
             dz = g
 
-        grads = []
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
+            a, z = layers[i]
             if i < last:
-                dz = dz * (pre[i] > 0.0)
-            dw = dz.T @ acts[i]
-            db = dz.sum(axis=0)
-            grads.append(db)
-            grads.append(dw)
+                dz = dz * (z > 0.0)
+            np.matmul(dz.T, a, out=self._grads[2 * i])
+            dz.sum(axis=0, out=self._grads[2 * i + 1])
             if i > 0:
                 dz = dz @ self.weights[i]
         self.grad_input = dz @ self.weights[0]
         if squeeze:
             self.grad_input = self.grad_input[0]
-        grads.reverse()
-        self.grads = grads
-        return grads
-
-    def parameters(self):
-        """Flat list [W0, b0, W1, b1, ...] of live arrays."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def set_parameters(self, params):
-        own = self.parameters()
-        if len(own) != len(params):
-            raise ConfigError("parameter count mismatch")
-        for dst, src in zip(own, params):
-            if dst.shape != np.shape(src):
-                raise ConfigError("parameter shape mismatch")
-            dst[...] = src
+        return self._grads
 
     def spec(self):
         """Constructor arguments, as a checkpoint's `meta` entry stores them."""
@@ -162,12 +166,12 @@ class Mlp:
 class Adam:
     """Adam with bias correction and decoupled weight decay.
 
-    One optimizer instance owns the moment accumulators for one parameter
-    list, kept as one flat vector each; `step` mutates the parameter arrays
-    in place. A non-finite gradient or second-moment estimate (a finite
-    gradient whose square overflows included) means training has diverged:
-    `step` raises `DivergenceError` and leaves parameters and state as they
-    were.
+    One optimizer instance owns the moment accumulators for one flat
+    parameter vector (a net's `params`); `step` updates that vector in place
+    from the matching `grad` vector. A non-finite gradient or second-moment
+    estimate (a finite gradient whose square overflows included) means
+    training has diverged: `step` raises `DivergenceError` and leaves
+    parameters and state as they were.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -178,17 +182,12 @@ class Adam:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._bounds = [0, *itertools.accumulate(np.size(p) for p in params)]
-        self.m = np.zeros(self._bounds[-1])
-        self.v = np.zeros(self._bounds[-1])
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params, grads):
-        n = len(self._bounds) - 1
-        if len(params) != n or len(grads) != n:
-            raise ConfigError("optimizer state does not match parameter list")
-        g = np.concatenate([x.ravel() for x in grads])
-        if g.size != self.m.size:
-            raise ConfigError("gradient sizes do not match parameter list")
+    def step(self, params, grad):
+        if params.shape != self.m.shape or grad.shape != self.m.shape:
+            raise ConfigError("parameter or gradient vector does not match the optimizer")
         t = self.t + 1
         b1c = 1.0 - self.beta1 ** t
         b2c = 1.0 - self.beta2 ** t
@@ -196,9 +195,9 @@ class Adam:
         # any non-finite second moment into a DivergenceError
         with np.errstate(over="ignore"):
             m = self.m * self.beta1
-            m += (1.0 - self.beta1) * g
-            gg = (1.0 - self.beta2) * g
-            gg *= g
+            m += (1.0 - self.beta1) * grad
+            gg = (1.0 - self.beta2) * grad
+            gg *= grad
             v = self.v * self.beta2
             v += gg
             denom = v / b2c
@@ -209,14 +208,13 @@ class Adam:
         update = m / b1c
         update /= denom
         if self.weight_decay:
-            update += self.weight_decay * np.concatenate([p.ravel() for p in params])
+            update += self.weight_decay * params
         update *= self.lr
-        for p, lo, hi in zip(params, self._bounds, self._bounds[1:]):
-            p -= update[lo:hi].reshape(p.shape)
+        params -= update
         self.t, self.m, self.v = t, m, v
 
 
-class DeepSetsEncoder:
+class DeepSetsEncoder(_FlatNet):
     """Permutation-invariant network over a set of per-element vectors.
 
     Each element goes through the embedding net (`phi`), the embeddings are
@@ -237,6 +235,13 @@ class DeepSetsEncoder:
         self.embed_dim = phi_widths[-1]
         self.phi = Mlp([elem_dim, *phi_widths], head="identity", rng=rng)
         self.rho = Mlp([self.embed_dim + tail_dim, *rho_hidden, out_dim], head=head, rng=rng)
+        # one vector for both nets: phi's layers first, then rho's
+        self._shapes = self.phi._shapes + self.rho._shapes
+        self.params = np.concatenate([self.phi.params, self.rho.params])
+        self.grad = np.zeros_like(self.params)
+        cut = self.phi.params.size
+        self.phi._bind(self.params[:cut], self.grad[:cut])
+        self.rho._bind(self.params[cut:], self.grad[cut:])
         self._cache = None
 
     @property
@@ -297,9 +302,7 @@ class DeepSetsEncoder:
         d_pooled = d_joint[:, : self.embed_dim]
         # the sum pool broadcasts the pooled gradient to every element
         d_emb = np.repeat(d_pooled, n, axis=0)
-        phi_grads = self.phi.backward(d_emb)
-        self.grads = phi_grads + rho_grads
-        return self.grads
+        return self.phi.backward(d_emb) + rho_grads
 
     # --- flat-observation adapter -------------------------------------------
     def _split_flat(self, x):
@@ -327,15 +330,6 @@ class DeepSetsEncoder:
         elements, tail, squeeze = self._split_flat(x)
         out = self.encode(elements, tail, train=True)
         return out[0] if squeeze else out
-
-    # --- parameter plumbing ---------------------------------------------------
-    def parameters(self):
-        return self.phi.parameters() + self.rho.parameters()
-
-    def set_parameters(self, params):
-        n_phi = len(self.phi.parameters())
-        self.phi.set_parameters(params[:n_phi])
-        self.rho.set_parameters(params[n_phi:])
 
     def spec(self):
         """Constructor arguments, as a checkpoint's `meta` entry stores them."""
@@ -372,7 +366,7 @@ def _build(spec):
 def clone_net(net):
     """An independent copy of `net` with equal parameters."""
     twin = _build(net.spec())
-    twin.set_parameters(net.parameters())
+    twin.params[...] = net.params
     return twin
 
 

@@ -94,6 +94,20 @@ class TestBufferEquation:
                       - 4.3 * sum(r["rebuffer_s"] for r in s.rows))
         assert total == pytest.approx(decomposed, abs=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(trace=hst.lists(hst.floats(50.0, 10000.0), min_size=1, max_size=60),
+           levels=hst.lists(hst.integers(0, len(BITRATES_KBPS) - 1),
+                            min_size=1, max_size=49))
+    def test_session_buffer_rebuffer_and_clock_stay_in_range(self, trace, levels):
+        s = AbrSession(VideoSpec.synth(seed=0), np.asarray(trace))
+        clock = s.clock_s
+        for level in levels:
+            info = s.step(level)
+            assert 0.0 <= s.buffer_s <= MAX_BUFFER_S
+            assert info["rebuffer_s"] >= 0.0
+            assert s.clock_s >= clock
+            clock = s.clock_s
+
     def test_session_csv(self, tmp_path):
         spec = flat_spec([1.0, 1.0])
         s = AbrSession(spec, np.full(10, 1000.0))
@@ -276,7 +290,7 @@ class TestFakeReplayGuard:
         rng = np.random.default_rng(4)
         _, obs1, _ = guard_step(g, 12.0, 0, 0, rng)
         fict = g.fict_buffer
-        g.note_download(2.0)
+        g.note_download(2.0, 4.0)
         _, obs2, who = guard_step(g, 11.0, 0, 0, rng)
         assert who == "agent"
         assert obs2 == pytest.approx(g.fict_buffer)
@@ -297,7 +311,7 @@ class TestFakeReplayGuard:
         s.buffer_s = g.fict_buffer = start
         for level in levels[:len(sizes)]:
             info = s.step(level)
-            assert g.note_download(info["download_s"]) == info["rebuffer_s"]
+            assert g.note_download(info["download_s"], s.spec.chunk_s) == info["rebuffer_s"]
             assert g.fict_buffer == info["buffer_s"]
 
     def test_fictitious_buffer_never_above_real_at_assignment(self):
@@ -327,6 +341,21 @@ class TestAbrEnv:
         for action, want in zip(executed, real_buffers):
             res = env_plain.step(action)
             assert res.stats["buffer_s"] == pytest.approx(want, abs=1e-12)
+
+    def test_fiction_follows_the_spec_chunk_length(self):
+        # 2 s chunks at level 0 download in 0.2 s on a flat 3,000 kbps trace;
+        # real and fictitious buffers start at 0 and must stay equal
+        sizes = np.tile(np.asarray(BITRATES_KBPS) * 1000.0 / 8.0 * 2.0, (4, 1))
+        spec = VideoSpec(2.0, BITRATES_KBPS, sizes)
+        guard = FakeReplayGuard()
+        env = AbrEnv(USER_GROUPS["UG1"], spec=spec, guard=guard)
+        env.session = AbrSession(spec, np.full(100, 3000.0))
+        guard.fict_buffer = 0.0
+        for want in (2.0, 3.8, 5.6):
+            stats = env.step(0).stats
+            assert stats["buffer_s"] == pytest.approx(want)
+            assert guard.fict_buffer == stats["buffer_s"]
+            assert stats["fict_rebuffer_s"] == stats["rebuffer_s"]
 
     def test_observation_width_and_scaling(self):
         env = AbrEnv(USER_GROUPS["UG3"], seed=0)

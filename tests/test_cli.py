@@ -113,9 +113,16 @@ def _json(**changes):
     ["--episode-len", "0"],
     ["--label-noise", "5"],
     _json(mu=-1.0),
+    ["--env", "bogus"],
+    ["--learner", "bogus"],
+    ["--expert-mode", "bogus"],
+    ["--buffer", "bogus"],
+    ["--detector", "bogus"],
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-string-number",
         "unknown-workload", "workload-of-other-env",
-        "zero-episode-len", "label-noise-above-one", "negative-mu"])
+        "zero-episode-len", "label-noise-above-one", "negative-mu",
+        "unknown-env", "unknown-learner", "unknown-expert-mode", "unknown-buffer",
+        "unknown-detector"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
         flags = flags(tmp_path)

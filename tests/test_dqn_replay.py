@@ -54,14 +54,14 @@ class TestBellmanTargets:
 class TestPolyak:
     def test_exact_geometric_decay(self):
         rng = np.random.default_rng(0)
-        online = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-        target = [rng.normal(size=(3, 2)), rng.normal(size=3)]
+        online = rng.normal(size=9)
+        target = rng.normal(size=9)
         alpha = 0.01
-        gap0 = [t - o for t, o in zip(target, online)]
+        gap0 = target - online
         for n in range(1, 51):
             polyak_update(target, online, alpha)
-            for t, o, g0 in zip(target, online, gap0):
-                assert np.allclose(t - o, (1 - alpha) ** n * g0, rtol=1e-12, atol=1e-15)
+            assert np.allclose(target - online, (1 - alpha) ** n * gap0,
+                               rtol=1e-12, atol=1e-15)
 
     def test_target_never_gradient_updated(self):
         qnet = Mlp([2, 4, 3], rng=np.random.default_rng(1))

@@ -127,52 +127,52 @@ class TestBackward:
 
 class TestAdam:
     def test_first_step_hand_recursion(self):
-        # m=0.05? no: m_hat = g, v_hat = g^2 -> step = -lr * g/(|g|+eps)
-        p = [np.array([0.0])]
+        # m_hat = g, v_hat = g^2 -> step = -lr * g/(|g|+eps)
+        p = np.array([0.0])
         opt = Adam(p, lr=0.001, weight_decay=0.0)
-        opt.step(p, [np.array([0.5])])
-        assert p[0][0] == pytest.approx(-0.001, rel=1e-6)
+        opt.step(p, np.array([0.5]))
+        assert p[0] == pytest.approx(-0.001, rel=1e-6)
         assert opt.t == 1
 
     def test_zero_gradient_no_decay_is_identity(self):
-        p = [np.array([1.7, -2.2])]
+        p = np.array([1.7, -2.2])
         opt = Adam(p, weight_decay=0.0)
         for _ in range(3):
-            opt.step(p, [np.zeros(2)])
-        assert np.array_equal(p[0], [1.7, -2.2])
+            opt.step(p, np.zeros(2))
+        assert np.array_equal(p, [1.7, -2.2])
         assert opt.t == 3
 
     def test_opposite_gradients_give_opposite_updates(self):
-        pa = [np.array([0.3])]
-        pb = [np.array([0.3])]
-        Adam(pa, weight_decay=0.0).step(pa, [np.array([2.5])])
-        Adam(pb, weight_decay=0.0).step(pb, [np.array([-2.5])])
-        assert pa[0][0] - 0.3 == pytest.approx(-(pb[0][0] - 0.3), rel=1e-12)
+        pa = np.array([0.3])
+        pb = np.array([0.3])
+        Adam(pa, weight_decay=0.0).step(pa, np.array([2.5]))
+        Adam(pb, weight_decay=0.0).step(pb, np.array([-2.5]))
+        assert pa[0] - 0.3 == pytest.approx(-(pb[0] - 0.3), rel=1e-12)
 
     def test_decoupled_weight_decay_moves_params_without_gradient(self):
-        p = [np.array([2.0])]
+        p = np.array([2.0])
         opt = Adam(p, lr=0.1, weight_decay=0.01)
-        opt.step(p, [np.zeros(1)])
-        assert p[0][0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
+        opt.step(p, np.zeros(1))
+        assert p[0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
 
     def test_nonfinite_gradient_raises(self):
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         with pytest.raises(DivergenceError):
-            Adam(p).step(p, [np.array([np.nan])])
+            Adam(p).step(p, np.array([np.nan]))
 
     # 1e200 overflows g*g; 2e154 overflows only v / (1 - beta2)
     @pytest.mark.parametrize("huge", [1e200, -1e200, 2e154, np.inf])
     def test_overflowing_second_moment_raises(self, huge):
-        p = [np.array([0.5]), np.zeros((2, 2))]
+        p = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
         opt = Adam(p)
-        opt.step(p, [np.array([0.1]), np.ones((2, 2))])
-        before = [x.copy() for x in p]
+        opt.step(p, np.array([0.1, 1.0, 1.0, 1.0, 1.0]))
+        before = p.copy()
         state = (opt.t, np.copy(opt.m), np.copy(opt.v))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError):
-                opt.step(p, [np.array([huge]), np.ones((2, 2))])
-        assert all(np.array_equal(a, b) for a, b in zip(p, before))
+                opt.step(p, np.array([huge, 1.0, 1.0, 1.0, 1.0]))
+        assert np.array_equal(p, before)
         assert opt.t == state[0]
         assert np.array_equal(opt.m, state[1]) and np.array_equal(opt.v, state[2])
 
@@ -180,15 +180,24 @@ class TestAdam:
         """Bit-identical to the textbook per-array update, weight decay included."""
         rng = np.random.default_rng(11)
         shapes = [(4, 3), (4,), (2, 4), (2,)]
-        p = [rng.normal(size=s) for s in shapes]
+        cuts = np.cumsum([np.prod(s) for s in shapes])[:-1]
+
+        def views(vec):
+            return [x.reshape(s) for x, s in zip(np.split(vec, cuts), shapes)]
+
+        flat = np.concatenate([rng.normal(size=s).ravel() for s in shapes])
+        grad = np.empty_like(flat)
+        p, g_views = views(flat), views(grad)
         ref = [x.copy() for x in p]
-        opt = Adam(p, lr=0.01, weight_decay=0.01)
+        opt = Adam(flat, lr=0.01, weight_decay=0.01)
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         b1, b2, eps = 0.9, 0.999, 1e-8
         for t in range(1, 8):
             grads = [rng.normal(scale=10.0 ** t, size=s) for s in shapes]
-            opt.step(p, grads)
+            for dst, g in zip(g_views, grads):
+                dst[...] = g
+            opt.step(flat, grad)
             for x, g, mi, vi in zip(ref, grads, m, v):
                 mi *= b1
                 mi += (1.0 - b1) * g
@@ -198,6 +207,34 @@ class TestAdam:
                 update = update + 0.01 * x
                 x -= 0.01 * update
             assert all(np.array_equal(a, b) for a, b in zip(p, ref))
+
+
+class TestFlatLayout:
+    def test_parameter_views_share_the_flat_vector(self):
+        mlp = Mlp([3, 5, 2], rng=np.random.default_rng(0))
+        enc = DeepSetsEncoder(2, 3, 4, n_set=5, rng=np.random.default_rng(1))
+        for net, owner in ((mlp, mlp), (enc, enc), (enc.phi, enc), (enc.rho, enc)):
+            views = net.parameters()
+            assert all(np.shares_memory(v, owner.params) for v in views)
+            # laid out W0, b0, W1, b1, ... with nothing in between
+            assert np.array_equal(np.concatenate([v.ravel() for v in views]), net.params)
+        for layers in (mlp, enc.phi, enc.rho):
+            for w, b in zip(layers.weights, layers.biases):
+                assert np.shares_memory(w, layers.params) and w.flags.c_contiguous
+                assert np.shares_memory(b, layers.params)
+
+        rng = np.random.default_rng(2)
+        for net, x in ((mlp, rng.normal(size=(4, 3))), (enc, rng.normal(size=(4, 13)))):
+            net.forward_train(x)
+            grads = net.backward(np.ones((4, net.out_dim)))
+            assert all(np.shares_memory(g, net.grad) for g in grads)
+            assert np.array_equal(np.concatenate([g.ravel() for g in grads]), net.grad)
+            views = net.parameters()
+            before = [v.copy() for v in views]
+            Adam(net.params, lr=0.1).step(net.params, net.grad)
+            assert all(not np.array_equal(v, b) for v, b in zip(views, before))
+            assert np.array_equal(np.concatenate([v.ravel() for v in views]), net.params)
+        assert np.array_equal(enc.phi.weights[0], enc.parameters()[0])
 
 
 class TestDeepSets:

@@ -2,10 +2,12 @@
 
 Random seeds, presets and action sequences drive `StragglerSim` with the
 safeguard latch on, its unsafe threshold drawn low enough that the latch
-turns on and off within a few windows. After every window the queue-length counters must match
-the queues themselves (cancelled copies stay in a queue until their server
-reaches them). Whole runs must conserve jobs, never hedge while latched and
-give the same results whether or not the event log is kept.
+turns on and off within a few windows. After every window the queue-length
+counters must match the queues themselves (cancelled copies stay in a queue
+until their server reaches them), and the arrival and completion counters
+must differ by the unfinished jobs still holding a copy. Whole runs must
+conserve jobs, never hedge while latched and give the same results whether
+or not the event log is kept.
 """
 
 import pytest
@@ -48,6 +50,19 @@ def test_queue_length_counts_live_copies(spec, acts):
             assert all(c.server == s for c in live)
             if sim.serving[s] is not None:
                 assert sim.serving[s].state == 1 and sim.serving[s].server == s
+
+
+@SETTINGS
+@given(spec=sims, acts=actions)
+def test_jobs_in_system_match_the_counters(spec, acts):
+    # every arrived, unfinished job holds a serving or a live queued copy
+    sim = make(spec)
+    for a in acts:
+        sim.step(a)
+        copies = [c for q in sim.queues for c in q if c.state == 0]
+        copies += [c for c in sim.serving if c is not None]
+        in_system = {c.job for c in copies if not c.job.done}
+        assert sim.arrived_total - sim.completed_total == len(in_system)
 
 
 @SETTINGS
