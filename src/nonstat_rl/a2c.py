@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DivergenceError, UsageError
 from .nets import Adam, save_net
 
+GAE_LAMBDA = 0.95   # GAE's lambda: the advantages' bias-variance trade-off
+
 
 def compute_gae(rewards, values, gamma, lam):
     """Advantages and value targets via the backward GAE recursion.
@@ -74,7 +76,7 @@ def entropy_of(probs):
 class A2cLearner:
     """Actor-critic learner; actor must have a softmax head, critic identity."""
 
-    def __init__(self, actor, critic, gamma, lam=0.95, lr=0.001, entropy_start=0.1,
+    def __init__(self, actor, critic, gamma, lr=0.001, entropy_start=0.1,
                  entropy_epochs=5000, weight_decay=1e-4, normalize_advantages=True):
         if actor.head != "softmax":
             raise UsageError("actor needs a softmax head")
@@ -83,7 +85,6 @@ class A2cLearner:
         self.actor = actor
         self.critic = critic
         self.gamma = gamma
-        self.lam = lam
         self.entropy_start = entropy_start
         self.entropy_epochs = entropy_epochs
         self.normalize_advantages = normalize_advantages
@@ -115,7 +116,7 @@ class A2cLearner:
             values = self.critic.forward(traj.states).reshape(-1)
             bootstrap = 0.0 if traj.terminal else float(self.critic.forward(traj.final_state)[0])
             adv, ret = compute_gae(traj.rewards, np.append(values, bootstrap),
-                                   self.gamma, self.lam)
+                                   self.gamma, GAE_LAMBDA)
             adv_all.append(adv)
             ret_all.append(ret)
         return np.concatenate(adv_all), np.concatenate(ret_all)

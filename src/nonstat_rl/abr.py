@@ -397,10 +397,9 @@ class AbrEnv:
     action or BBA's executes.
     """
 
-    def __init__(self, group, spec=None, mu=DEFAULT_MU, seed=0, guard=None):
+    def __init__(self, group, spec=None, seed=0, guard=None):
         self.group = group
         self.spec = spec if spec is not None else VideoSpec.synth(seed=0)
-        self.mu = mu
         self.rng = np.random.default_rng(seed)
         self.guard = guard
         self._tput_window = []  # cross-session throughput history for detection
@@ -412,7 +411,7 @@ class AbrEnv:
 
     def _new_session(self):
         trace = BandwidthGen(self.group, self.rng).generate(SESSION_TRACE_S)
-        self.session = AbrSession(self.spec, trace, mu=self.mu)
+        self.session = AbrSession(self.spec, trace)
         self._downloads = [0.0] * HISTORY_K
         self._tputs = [0.0] * HISTORY_K
 
@@ -455,7 +454,8 @@ class AbrEnv:
                          if self.guard else 0.0)
         fiction = self.guard is not None and self.guard.fict_buffer is not None
         if fiction:
-            reward = qoe(info["quality"], info["quality_prev"], fict_rebuffer, self.mu)
+            reward = qoe(info["quality"], info["quality_prev"], fict_rebuffer,
+                         self.session.mu)
             observed_buffer = self.guard.fict_buffer
         else:
             reward = info["qoe"]

@@ -114,20 +114,19 @@ class RewardScaler:
     equal to `np.median` of the same values.
     """
 
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    def __init__(self):
         self._samples = {}  # env -> sorted absolute rewards
         self._frozen = {}
 
     def observe(self, env_index, reward):
         """Record a calibration-phase reward; ignored once frozen."""
-        if not self.enabled or env_index in self._frozen:
+        if env_index in self._frozen:
             return
         bisect.insort(self._samples.setdefault(env_index, []), abs(float(reward)))
 
     def freeze(self, env_index):
         """Pin the environment's scale at the median absolute reward."""
-        if not self.enabled or env_index in self._frozen:
+        if env_index in self._frozen:
             return
         self._frozen[env_index] = self._estimate(env_index)
 
@@ -143,21 +142,15 @@ class RewardScaler:
         return med if med > 0 else 1.0
 
     def scale_of(self, env_index):
-        if not self.enabled:
-            return 1.0
         frozen = self._frozen.get(env_index)
         return frozen if frozen is not None else self._estimate(env_index)
 
     def scale(self, env_index, reward):
-        if not self.enabled:
-            return reward
         return reward / self.scale_of(env_index)
 
     def scale_batch(self, env_index, rewards):
         """`scale` over a batch of (non-negative) environment indices: the
         same IEEE division per item, with one scale lookup per index up to
         the largest in the batch."""
-        if not self.enabled:
-            return rewards
         table = np.array([self.scale_of(env) for env in range(int(env_index.max()) + 1)])
         return rewards / table[env_index]

@@ -135,8 +135,9 @@ _NUMBER_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run reads. Checked once, when built (or `replace`d):
-    a bad value raises ConfigError here rather than deep inside a run."""
+    """What a run sets; every other hyperparameter is its component's own
+    default. Checked once, when built (or `replace`d): a bad value raises
+    ConfigError here rather than deep inside a run."""
 
     scenario: Scenario
     env: str = "straggler"              # straggler | abr
@@ -154,42 +155,30 @@ class ExperimentConfig:
     t_c: int = 120                      # convergence span = one-time exploration span
     episode_len: int = 48
 
-    # learner hyperparameters
-    lr: float = 0.02
+    # both learners
     gamma: float = 0.9
-    lam: float = 0.95
-    weight_decay: float = 1e-4
+
+    # A2C; `lr` is its step size (DQN keeps DqnLearner's own 0.001)
+    lr: float = 0.02
     entropy_start: float = 0.1
     entropy_epochs: int = 100
-    normalize_advantages: bool = True
-    reward_scale: float = 1000.0        # training-reward divisor (a2c)
+    reward_scale: float = 1000.0        # training-reward divisor
+
+    # DQN
     eps_random_epochs: int = 20
     eps_decay_epochs: int = 100
-    dqn_lr: float = 0.001
-    polyak_alpha: float = 0.01
     batch_size: int = 64
     train_every: int = 2
     buffer_capacity: int = 1_000_000   # large / per-environment rings
     ltst_long_capacity: int = 8_000    # ~1.4x T_c of desk-scale samples
     small_capacity: int = 2_000        # ~0.35x T_c
-    dqn_reward_scaling: bool = True
 
-    # nets
-    phi_widths: tuple = (16, 8)
-    rho_hidden: tuple = (16, 8)
-    abr_hidden: tuple = (64, 32)
-
-    # environment
-    n_servers: int = 10
-    mu: float = abr_mod.DEFAULT_MU
-    guard_cap: float = 20.0
+    # ABR fake-replay guard
     guard_calibration_epochs: int = 5
     guard_anneal_epochs: int = 133
 
-    # detection
-    detector_dwell: int = 4
+    # GMM detector
     detector_warmup_epochs: int = 6
-    detector_components: int = 0        # 0 -> one per scenario workload
 
     def __post_init__(self):
         for f in fields(self):
@@ -214,16 +203,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ConfigError(f"label_noise must be in [0, 1], got {self.label_noise}")
-        if self.mu < 0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
         if self.expert_mode == "oracle" and (self.detector != "truth" or self.label_noise > 0):
             raise ConfigError("oracle mode requires clean ground-truth labels")
 
     def to_json(self):
         d = asdict(self)
         d["scenario"] = self.scenario.to_json()
-        for k in ("phi_widths", "rho_hidden", "abr_hidden"):
-            d[k] = list(d[k])
         return d
 
     @classmethod
@@ -235,9 +220,6 @@ class ExperimentConfig:
             raise ConfigError("config has no scenario")
         obj = dict(obj)
         obj["scenario"] = Scenario.from_json(obj["scenario"])
-        for k in ("phi_widths", "rho_hidden", "abr_hidden"):
-            if k in obj:
-                obj[k] = tuple(obj[k])
         return cls(**obj)
 
 
@@ -339,17 +321,15 @@ class _Straggler(_Case):
     def __init__(self, cfg, seed, guard_rng=None):
         """`guard_rng` is unused: the monitor draws nothing."""
         super().__init__(cfg, st.StragglerSim(
-            self.presets[cfg.scenario.workload_at(0)[0]], n_servers=cfg.n_servers,
-            seed=seed, safeguard_enabled=cfg.safeguard))
+            self.presets[cfg.scenario.workload_at(0)[0]], seed=seed,
+            safeguard_enabled=cfg.safeguard))
         self.monitor = (SafetyMonitor(st.UNSAFE_QUEUE, st.SAFE_QUEUE) if cfg.safeguard
                         else None)
         self._latencies = []
 
     def net(self, head, out, rng):
-        cfg = self.cfg
-        return DeepSetsEncoder(2, self.width - 2 * cfg.n_servers, out,
-                               phi_widths=cfg.phi_widths, rho_hidden=cfg.rho_hidden,
-                               head=head, n_set=cfg.n_servers, rng=rng)
+        n = self.env.n
+        return DeepSetsEncoder(2, self.width - 2 * n, out, head=head, n_set=n, rng=rng)
 
     def start_epoch(self, key, epoch):
         self.env.set_workload(self.presets[key])
@@ -391,17 +371,16 @@ class _Abr(_Case):
         guard = None
         if cfg.safeguard and guard_rng is not None:
             guard = abr_mod.FakeReplayGuard(
-                cap=cfg.guard_cap, calibration_epochs=cfg.guard_calibration_epochs,
+                calibration_epochs=cfg.guard_calibration_epochs,
                 anneal_epochs=cfg.guard_anneal_epochs)
         super().__init__(cfg, abr_mod.AbrEnv(
-            self.presets[cfg.scenario.workload_at(0)[0]], mu=cfg.mu, seed=seed,
-            guard=guard))
+            self.presets[cfg.scenario.workload_at(0)[0]], seed=seed, guard=guard))
         self.guard, self.guard_rng = guard, guard_rng
         self._qoe = []
         self._rebuffer = 0.0
 
     def net(self, head, out, rng):
-        return Mlp([self.width, *self.cfg.abr_hidden, out], head=head, rng=rng)
+        return Mlp([self.width, 64, 32, out], head=head, rng=rng)
 
     def start_epoch(self, key, epoch):
         self.env.set_group(self.presets[key])
@@ -457,11 +436,9 @@ class _A2c:
     def make(cfg, case, rng):
         return A2cLearner(case.net("softmax", case.n_actions, rng),
                           case.net("identity", 1, rng),
-                          gamma=cfg.gamma, lam=cfg.lam, lr=cfg.lr,
+                          gamma=cfg.gamma, lr=cfg.lr,
                           entropy_start=cfg.entropy_start,
-                          entropy_epochs=cfg.entropy_epochs,
-                          weight_decay=cfg.weight_decay,
-                          normalize_advantages=cfg.normalize_advantages)
+                          entropy_epochs=cfg.entropy_epochs)
 
     @staticmethod
     def act(rec, obs, rng):
@@ -509,11 +486,9 @@ class _Dqn:
     @staticmethod
     def make(cfg, case, rng):
         return DqnLearner(case.net("identity", case.n_actions, rng), gamma=cfg.gamma,
-                          lr=cfg.dqn_lr, polyak_alpha=cfg.polyak_alpha,
                           batch_size=cfg.batch_size,
                           random_epochs=cfg.eps_random_epochs,
-                          decay_epochs=cfg.eps_decay_epochs,
-                          weight_decay=cfg.weight_decay)
+                          decay_epochs=cfg.eps_decay_epochs)
 
     @staticmethod
     def act(rec, obs, rng):
@@ -526,7 +501,7 @@ class _Dqn:
                               short_capacity=cfg.small_capacity),
                  "multi": dict(capacity_each=cfg.buffer_capacity)}
         self.buffer = make_buffer(cfg.buffer, **sizes[cfg.buffer])
-        self.scaler = RewardScaler(enabled=cfg.dqn_reward_scaling)
+        self.scaler = RewardScaler()
         self.rng = rng
         self.train_every = cfg.train_every
         self.batch_size = cfg.batch_size
@@ -566,8 +541,7 @@ class _Detector:
         self.history = []
         self.reported = 0
         if self.mode == "gmm":
-            k = cfg.detector_components or n_labels
-            self.gmm = GmmDetector(k, dwell=cfg.detector_dwell, seed=cfg.seed)
+            self.gmm = GmmDetector(n_labels, seed=cfg.seed)
 
     def epoch_label(self, true_label):
         """The environment index used to route this epoch's experience."""

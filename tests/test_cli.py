@@ -108,6 +108,7 @@ def _json(**changes):
     _json(episode_length=8),    # misspelt key
     _json(scenario={"dwells": [["A", 3]]}),
     _json(episode_len="8"),
+    _json(phi_widths=["a"]),    # a removed key, malformed as well
     ["--scenario", "stationary:Z"],
     ["--env", "abr", "--scenario", "stationary:A"],
     ["--episode-len", "0"],
@@ -119,7 +120,7 @@ def _json(**changes):
     ["--buffer", "bogus"],
     ["--detector", "bogus"],
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-string-number",
-        "unknown-workload", "workload-of-other-env",
+        "json-malformed-widths", "unknown-workload", "workload-of-other-env",
         "zero-episode-len", "label-noise-above-one", "negative-mu",
         "unknown-env", "unknown-learner", "unknown-expert-mode", "unknown-buffer",
         "unknown-detector"])

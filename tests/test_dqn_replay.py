@@ -291,12 +291,6 @@ class TestRewardScaler:
         b = abs(sc.scale(1, -10.0))
         assert 0.8 < a < 1.25 and 0.8 < b < 1.25
 
-    def test_disabled_is_identity(self):
-        sc = RewardScaler(enabled=False)
-        sc.observe(0, -500.0)
-        sc.freeze(0)
-        assert sc.scale(0, -123.4) == -123.4
-
     def test_frozen_scale_never_changes(self):
         sc = RewardScaler()
         sc.observe(0, -100.0)
@@ -335,10 +329,6 @@ class TestRewardScaler:
         one_env = np.zeros(64, dtype=np.intp)
         assert sc.scale_batch(one_env, rewards).tolist() == [
             sc.scale(0, float(r)) for r in rewards]
-
-    def test_disabled_batch_is_identity(self):
-        rewards = np.array([-1.0, -2.0])
-        assert RewardScaler(enabled=False).scale_batch(np.array([0, 1]), rewards) is rewards
 
     def test_frozen_scale_skips_estimate(self, monkeypatch):
         sc = RewardScaler()

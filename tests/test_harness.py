@@ -147,8 +147,7 @@ class TestArtifacts:
         run_experiment(cfg)
         with open(tmp_path / "x" / "config.json") as fh:
             back = ExperimentConfig.from_json(json.load(fh))
-        assert back.scenario.dwells == cfg.scenario.dwells
-        assert back.t_c == cfg.t_c and back.seed == cfg.seed
+        assert back == cfg
 
 
 class TestExplorationAccounting:

@@ -7,13 +7,10 @@ across storage growth and wraparound.
 """
 
 import numpy as np
-import pytest
+from hypothesis import given, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from nonstat_rl.dqn import RewardScaler  # noqa: E402
-from nonstat_rl.replay import Experience, Ring, make_buffer  # noqa: E402
+from nonstat_rl.dqn import RewardScaler
+from nonstat_rl.replay import Experience, Ring, make_buffer
 
 
 class ListRing:

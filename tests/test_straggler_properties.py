@@ -6,17 +6,14 @@ turns on and off within a few windows. After every window the queue-length
 counters must match the queues themselves (cancelled copies stay in a queue
 until their server reaches them), and the arrival and completion counters
 must differ by the unfinished jobs still holding a copy. Whole runs must
-conserve jobs, never hedge while latched and give the same results whether
+conserve jobs, never finish a job sooner than the copy that completed it
+was served, never hedge while latched and give the same results whether
 or not the event log is kept.
 """
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from nonstat_rl.straggler import (TIMEOUTS_MS, WORKLOAD_PRESETS,  # noqa: E402
-                                  StragglerSim)
+from nonstat_rl.straggler import TIMEOUTS_MS, WORKLOAD_PRESETS, StragglerSim
 
 SETTINGS = settings(max_examples=30, deadline=None)
 PRESETS = ("A", "B", "C", "high_rate")
@@ -75,6 +72,32 @@ def test_drain_completes_every_arrival(spec, acts):
     assert sim.completed_total == sim.arrived_total
     assert sim.qlen == [0] * sim.n
     assert sim.serving == [None] * sim.n
+
+
+# A latency is `t_done - t_arrive` with `t_done = t_start + service` and
+# `t_start >= t_arrive`; rounding in that sum and difference can put it up
+# to ~4e-12 ms below `service`, so the bound allows 1e-9 ms.
+LATENCY_SLACK_MS = 1e-9
+
+
+@SETTINGS
+@given(spec=sims, acts=actions)
+def test_latency_is_at_least_the_completing_service_time(spec, acts):
+    sim = make(spec)
+    run, completed = sim._run, []
+
+    def recording_run(*args, **kwargs):
+        out = run(*args, **kwargs)
+        completed.extend(zip(out[0], out[1]))  # aligned latencies, procs
+        return out
+
+    sim._run = recording_run
+    for a in acts:
+        sim.step(a)
+    sim.drain()
+    assert len(completed) == sim.completed_total
+    for latency, service in completed:
+        assert latency >= service - LATENCY_SLACK_MS
 
 
 @SETTINGS
