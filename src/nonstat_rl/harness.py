@@ -198,11 +198,15 @@ class ExperimentConfig:
             if key not in presets:
                 raise ConfigError(f"scenario workload {key!r} is not among the "
                                   f"{self.env} presets ({', '.join(presets)})")
-        for name in ("t_c", "episode_len"):
+        for name in ("t_c", "episode_len", "batch_size", "train_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.label_noise <= 1.0:
-            raise ConfigError(f"label_noise must be in [0, 1], got {self.label_noise}")
+        for name in ("lr", "reward_scale"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("gamma", "label_noise"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.expert_mode == "oracle" and (self.detector != "truth" or self.label_noise > 0):
             raise ConfigError("oracle mode requires clean ground-truth labels")
 

@@ -2,10 +2,11 @@
 
 Everything here is plain float64 numpy: an `Mlp` with ReLU hidden layers and
 a softmax or identity head, an `Adam` optimizer with decoupled weight decay,
-and a `DeepSetsEncoder` that embeds a set of per-element vectors, sums the
-embeddings, and maps the pooled vector (plus a fixed "tail" of extra
-features) through a second network. Sizes are tiny (hidden widths up to 64),
-so there is no need for anything faster.
+and a `DeepSetsEncoder` that reads a flat observation holding a fixed-size
+set of per-element vectors, embeds each, sums the embeddings, and maps the
+pooled vector (plus a "tail" of extra features) through a second network.
+Sizes are tiny (hidden widths up to 64), so there is no need for anything
+faster.
 """
 
 from __future__ import annotations
@@ -30,9 +31,56 @@ def _views(vec, shapes):
     return [part.reshape(shape) for part, shape in zip(np.split(vec, cuts), shapes)]
 
 
+def _rows(x, width):
+    """`x` as a float64 (batch, width) array, and whether it was one row."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ConfigError(f"expected rows of width {width}, got shape {x.shape}")
+    return x, single
+
+
 class _FlatNet:
     """Parameters in one contiguous float64 vector `params`, gradients in a
-    `grad` vector of the same layout, both cut into arrays by `_shapes`."""
+    `grad` vector of the same layout, both cut into arrays by `_shapes`.
+
+    The public `forward`, `forward_train` and `backward` take one row or a
+    (batch, width) array and check it once; the private `_forward(x, train)`
+    and `_backward(g)` work on checked (batch, width) arrays. Gradients are
+    summed over the batch.
+    """
+
+    _trained = None  # (output shape, single row) of the last forward_train
+
+    def forward(self, x):
+        x, single = _rows(x, self.in_dim)
+        out = self._forward(x, train=False)
+        return out[0] if single else out
+
+    def forward_train(self, x):
+        """Forward pass that caches activations for a later `backward`."""
+        x, single = _rows(x, self.in_dim)
+        out = self._forward(x, train=True)
+        self._trained = (out.shape, single)
+        return out[0] if single else out
+
+    def backward(self, grad_out):
+        """Gradients of a scalar loss w.r.t. all parameters.
+
+        `grad_out` is dLoss/d(output) with the same shape as the last
+        `forward_train` result. Writes the gradient into `grad` and returns
+        its views, aligned with `parameters()`.
+        """
+        if self._trained is None:
+            raise UsageError("backward called before forward_train")
+        g, single = _rows(grad_out, self.out_dim)
+        if (g.shape, single) != self._trained:
+            raise ConfigError(f"upstream gradient shape {np.shape(grad_out)} does not "
+                              "match the last forward_train output")
+        self._backward(g)
+        return self._grads
 
     def parameters(self):
         """Live views [W0, b0, W1, b1, ...] of `params`."""
@@ -53,9 +101,9 @@ class Mlp(_FlatNet):
 
     `forward` is inference-only; `forward_train` additionally caches
     activations so `backward` can produce parameter gradients for an
-    arbitrary upstream gradient on the outputs. Inputs may be a single
-    vector or a (batch, width) array; gradients are summed over the batch.
-    Weights start fan-in scaled uniform, biases at zero.
+    arbitrary upstream gradient on the outputs, and the (batch, width) input
+    gradient on `grad_input`. Weights start fan-in scaled uniform, biases at
+    zero.
     """
 
     def __init__(self, widths, head="identity", rng=None):
@@ -65,6 +113,7 @@ class Mlp(_FlatNet):
             raise ConfigError(f"unknown head {head!r}")
         self.widths = list(widths)
         self.head = head
+        self.in_dim = widths[0]
         rng = rng if rng is not None else np.random.default_rng(0)
         self._shapes = [shape for n_in, n_out in zip(widths[:-1], widths[1:])
                         for shape in ((n_out, n_in), (n_out,))]
@@ -73,7 +122,6 @@ class Mlp(_FlatNet):
         for w in self.weights:
             limit = np.sqrt(6.0 / w.shape[1])
             w[...] = rng.uniform(-limit, limit, size=w.shape)
-        self._cache = None
 
     def _bind(self, params, grad):
         """Lay the layers' weights, biases and gradients over these vectors."""
@@ -86,58 +134,23 @@ class Mlp(_FlatNet):
     def out_dim(self):
         return self.widths[-1]
 
-    def _check_input(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.widths[0]:
-            raise ConfigError(
-                f"input width {x.shape[-1]} does not match net input {self.widths[0]}"
-            )
-        return x, squeeze
-
-    def _layers(self, a, record=None):
-        """The layer loop over a (batch, width) input; appends each layer's
-        (input, pre-activation) pair to `record` if one is given."""
+    def _forward(self, x, train):
+        """The layer loop; with `train`, keeps each layer's (input,
+        pre-activation) pair and the output for `_backward`."""
+        layers = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            if record is not None:
-                record.append((a, z))
-            a = np.maximum(z, 0.0) if i < last else z
-        return softmax(a) if self.head == "softmax" else a
+            z = x @ w.T + b
+            if train:
+                layers.append((x, z))
+            x = np.maximum(z, 0.0) if i < last else z
+        out = softmax(x) if self.head == "softmax" else x
+        if train:
+            self._cache = (layers, out)
+        return out
 
-    def forward(self, x):
-        x, squeeze = self._check_input(x)
-        out = self._layers(x)
-        return out[0] if squeeze else out
-
-    def forward_train(self, x):
-        """Forward pass that caches activations for a later `backward`."""
-        x, squeeze = self._check_input(x)
-        layers = []
-        out = self._layers(x, layers)
-        self._cache = (layers, out, squeeze)
-        return out[0] if squeeze else out
-
-    def backward(self, grad_out):
-        """Gradients of a scalar loss w.r.t. all weights and biases.
-
-        `grad_out` is dLoss/d(output) with the same shape as the last
-        `forward_train` result. Writes the gradient into `grad` and returns
-        its views (aligned with `parameters()`); stores the input gradient
-        on `self.grad_input`.
-        """
-        if self._cache is None:
-            raise UsageError("backward called before forward_train")
-        layers, out, squeeze = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if squeeze:
-            g = g[None, :]
-        if g.shape != out.shape:
-            raise ConfigError(f"upstream gradient shape {g.shape} != output {out.shape}")
-
+    def _backward(self, g):
+        layers, out = self._cache
         if self.head == "softmax":
             # dL/dz = p * (g - <g, p>) row-wise
             dz = out * (g - (g * out).sum(axis=-1, keepdims=True))
@@ -154,9 +167,6 @@ class Mlp(_FlatNet):
             if i > 0:
                 dz = dz @ self.weights[i]
         self.grad_input = dz @ self.weights[0]
-        if squeeze:
-            self.grad_input = self.grad_input[0]
-        return self._grads
 
     def spec(self):
         """Constructor arguments, as a checkpoint's `meta` entry stores them."""
@@ -215,23 +225,26 @@ class Adam:
 
 
 class DeepSetsEncoder(_FlatNet):
-    """Permutation-invariant network over a set of per-element vectors.
+    """Permutation-invariant network over a fixed-size set of per-element
+    vectors, read from flat observations.
 
-    Each element goes through the embedding net (`phi`), the embeddings are
-    summed, the pooled vector is concatenated with a `tail` of extra features,
-    and the result goes through the post-aggregation net (`rho`), whose head
-    determines the output (softmax policy or identity values).
-
-    Also usable as a drop-in policy/value net over flat observations laid out
-    as [feature-0 of all n elements, feature-1 of all n elements, ..., tail].
+    An observation is laid out as [feature-0 of all `n_set` elements,
+    feature-1 of all `n_set` elements, ..., tail]. Each element goes through
+    the embedding net (`phi`), the embeddings are summed, the pooled vector
+    is concatenated with the tail, and the result goes through the
+    post-aggregation net (`rho`), whose head determines the output (softmax
+    policy or identity values).
     """
 
-    def __init__(self, elem_dim, tail_dim, out_dim, phi_widths=(16, 8),
-                 rho_hidden=(16, 8), head="identity", n_set=None, rng=None):
+    def __init__(self, elem_dim, tail_dim, out_dim, n_set, phi_widths=(16, 8),
+                 rho_hidden=(16, 8), head="identity", rng=None):
+        if n_set < 1:
+            raise ConfigError(f"n_set must be >= 1, got {n_set}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.elem_dim = elem_dim
         self.tail_dim = tail_dim
         self.n_set = n_set
+        self.in_dim = n_set * elem_dim + tail_dim
         self.embed_dim = phi_widths[-1]
         self.phi = Mlp([elem_dim, *phi_widths], head="identity", rng=rng)
         self.rho = Mlp([self.embed_dim + tail_dim, *rho_hidden, out_dim], head=head, rng=rng)
@@ -242,7 +255,7 @@ class DeepSetsEncoder(_FlatNet):
         cut = self.phi.params.size
         self.phi._bind(self.params[:cut], self.grad[:cut])
         self.rho._bind(self.params[cut:], self.grad[cut:])
-        self._cache = None
+        self._grads = self.phi._grads + self.rho._grads
 
     @property
     def head(self):
@@ -252,84 +265,22 @@ class DeepSetsEncoder(_FlatNet):
     def out_dim(self):
         return self.rho.out_dim
 
-    def _check_set(self, elements, tail):
-        # fresh C-order copy: keeps evaluation independent of the caller's
-        # memory layout (permuted views would otherwise perturb BLAS results)
-        elements = np.array(elements, dtype=np.float64, order="C", copy=True)
-        tail = np.asarray(tail, dtype=np.float64)
-        squeeze = elements.ndim == 2
-        if squeeze:
-            elements = elements[None]
-            tail = tail[None, :] if tail.ndim == 1 else tail
-        if elements.ndim != 3 or elements.shape[2] != self.elem_dim:
-            raise ConfigError(f"elements must be (batch, n, {self.elem_dim})")
-        if elements.shape[1] == 0:
-            raise ConfigError("element set is empty; at least one element required")
-        if tail.shape != (elements.shape[0], self.tail_dim):
-            raise ConfigError(f"tail must have width {self.tail_dim}")
-        return elements, tail, squeeze
+    def _forward(self, x, train):
+        """rho(sum_i phi(element_i) ++ tail), one element row per server."""
+        n, e = self.n_set, self.elem_dim
+        # fresh C-order copy of the feature-major block: a strided view
+        # would reach BLAS with another layout and could change the bits
+        elements = np.array(x[:, : n * e].reshape(-1, e, n).transpose(0, 2, 1), order="C")
+        emb = self.phi._forward(elements.reshape(-1, e), train)
+        pooled = emb.reshape(-1, n, self.embed_dim).sum(axis=1)
+        return self.rho._forward(np.concatenate([pooled, x[:, n * e:]], axis=1), train)
 
-    def encode(self, elements, tail, train=False):
-        """rho(sum_i phi(element_i) ++ tail).
-
-        `elements` is (n, elem_dim) or (batch, n, elem_dim); `tail` matches.
-        With `train=True`, caches intermediates for `backward`.
-        """
-        elements, tail, squeeze = self._check_set(elements, tail)
-        batch, n, _ = elements.shape
-        flat = elements.reshape(batch * n, self.elem_dim)
-        if train:
-            emb = self.phi.forward_train(flat)
-        else:
-            emb = self.phi.forward(flat)
-        pooled = emb.reshape(batch, n, self.embed_dim).sum(axis=1)
-        joint = np.concatenate([pooled, tail], axis=1)
-        out = self.rho.forward_train(joint) if train else self.rho.forward(joint)
-        if train:
-            self._cache = (batch, n, squeeze)
-        return out[0] if squeeze else out
-
-    def backward(self, grad_out):
-        """Backprop through rho, the sum pool, and phi; see `Mlp.backward`."""
-        if self._cache is None:
-            raise UsageError("backward called before a training-mode encode")
-        batch, n, squeeze = self._cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if squeeze:
-            g = g[None, :]
-        rho_grads = self.rho.backward(g)
-        d_joint = self.rho.grad_input
-        d_pooled = d_joint[:, : self.embed_dim]
+    def _backward(self, g):
+        """Backprop through rho, the sum pool, and phi."""
+        self.rho._backward(g)
+        d_pooled = self.rho.grad_input[:, : self.embed_dim]
         # the sum pool broadcasts the pooled gradient to every element
-        d_emb = np.repeat(d_pooled, n, axis=0)
-        return self.phi.backward(d_emb) + rho_grads
-
-    # --- flat-observation adapter -------------------------------------------
-    def _split_flat(self, x):
-        if self.n_set is None:
-            raise ConfigError("flat input requires n_set to be configured")
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        want = self.n_set * self.elem_dim + self.tail_dim
-        if x.shape[1] != want:
-            raise ConfigError(f"flat input width {x.shape[1]} != expected {want}")
-        block = x[:, : self.n_set * self.elem_dim]
-        # layout: feature-major blocks of n_set values each
-        elements = block.reshape(x.shape[0], self.elem_dim, self.n_set).transpose(0, 2, 1)
-        tail = x[:, self.n_set * self.elem_dim:]
-        return elements, tail, squeeze
-
-    def forward(self, x):
-        elements, tail, squeeze = self._split_flat(x)
-        out = self.encode(elements, tail, train=False)
-        return out[0] if squeeze else out
-
-    def forward_train(self, x):
-        elements, tail, squeeze = self._split_flat(x)
-        out = self.encode(elements, tail, train=True)
-        return out[0] if squeeze else out
+        self.phi._backward(np.repeat(d_pooled, self.n_set, axis=0))
 
     def spec(self):
         """Constructor arguments, as a checkpoint's `meta` entry stores them."""
@@ -356,9 +307,9 @@ def _build(spec):
         return Mlp(spec["widths"], head=spec["head"])
     if spec["kind"] == "deepsets":
         return DeepSetsEncoder(
-            spec["elem_dim"], spec["tail_dim"], spec["out_dim"],
+            spec["elem_dim"], spec["tail_dim"], spec["out_dim"], spec["n_set"],
             phi_widths=tuple(spec["phi_widths"]), rho_hidden=tuple(spec["rho_hidden"]),
-            head=spec["head"], n_set=spec["n_set"],
+            head=spec["head"],
         )
     raise ConfigError(f"checkpoint holds an unknown net kind {spec['kind']!r}")
 

@@ -119,11 +119,18 @@ def _json(**changes):
     ["--expert-mode", "bogus"],
     ["--buffer", "bogus"],
     ["--detector", "bogus"],
+    _json(learner="dqn", train_every=0),
+    _json(learner="dqn", batch_size=0),
+    _json(reward_scale=0.0),
+    _json(lr=-1.0),
+    _json(gamma=-3.0),
+    _json(gamma=1.5),
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-string-number",
         "json-malformed-widths", "unknown-workload", "workload-of-other-env",
         "zero-episode-len", "label-noise-above-one", "negative-mu",
         "unknown-env", "unknown-learner", "unknown-expert-mode", "unknown-buffer",
-        "unknown-detector"])
+        "unknown-detector", "zero-train-every", "zero-batch-size", "zero-reward-scale",
+        "negative-lr", "negative-gamma", "gamma-above-one"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
         flags = flags(tmp_path)

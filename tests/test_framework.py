@@ -2,8 +2,10 @@
 
 import itertools
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nonstat_rl.errors import ConfigError, UsageError
 from nonstat_rl.framework import (ExpertManager, GmmDetector, SafetyMonitor,
@@ -37,13 +39,24 @@ class TestGmmFit:
         det = GmmDetector(1, seed=0).fit(x)
         assert np.allclose(det.means[0], x.mean(axis=0), atol=1e-9)
 
-    def test_refit_same_data_same_seed_identical(self):
-        x, _ = two_cluster_data(seed=3)
-        d1 = GmmDetector(2, seed=7).fit(x)
-        d2 = GmmDetector(2, seed=7).fit(x)
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_refit_same_data_same_seed_identical(self, k, seed, data):
+        """Two fits on the same data with the same seed agree bit for bit,
+        and so do their readouts over the same stream."""
+        n_true = data.draw(st.integers(1, 4), label="clusters in the data")
+        centres = data.draw(hnp.arrays(np.float64, (n_true, 2),
+                                       elements=st.floats(-1e3, 1e3)), label="centres")
+        spread = data.draw(st.floats(1e-3, 1e2), label="spread")
+        n = data.draw(st.integers(10 * k, 120), label="windows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        x = centres[rng.integers(n_true, size=n)] + rng.normal(scale=spread, size=(n, 2))
+        d1 = GmmDetector(k, seed=seed).fit(x)
+        d2 = GmmDetector(k, seed=seed).fit(x)
         assert np.array_equal(d1.means, d2.means)
         assert np.array_equal(d1.variances, d2.variances)
         assert np.array_equal(d1.weights, d2.weights)
+        assert [d1.classify(row) for row in x] == [d2.classify(row) for row in x]
 
     def test_history_too_short_is_error(self):
         with pytest.raises(ConfigError):

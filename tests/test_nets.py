@@ -122,7 +122,8 @@ class TestBackward:
             xp[i] += h
             xm[i] -= h
             fd[i] = ((coef * net.forward(xp)).sum() - (coef * net.forward(xm)).sum()) / (2 * h)
-        assert_rel_close(net.grad_input, fd, rtol=1e-5)
+        assert net.grad_input.shape == (1, 3)
+        assert_rel_close(net.grad_input[0], fd, rtol=1e-5)
 
 
 class TestAdam:
@@ -238,85 +239,131 @@ class TestFlatLayout:
 
 
 class TestDeepSets:
-    def make(self, seed=3, head="identity"):
-        return DeepSetsEncoder(2, 3, 4, phi_widths=(6, 5), rho_hidden=(6,),
+    """Flat observations: `elem_dim` feature blocks of `n_set` server values
+    each, then the tail."""
+
+    def make(self, n_set, seed=3, head="identity"):
+        return DeepSetsEncoder(2, 3, 4, n_set, phi_widths=(6, 5), rho_hidden=(6,),
                                head=head, rng=np.random.default_rng(seed))
 
+    @staticmethod
+    def flat(elements, tail):
+        """The flat row of an (n, elem_dim) set and its tail."""
+        return np.concatenate([np.asarray(elements).T.ravel(), tail])
+
+    @staticmethod
+    def permuted(x, perm, elem_dim=2):
+        """`x` with the same server permutation applied inside every feature
+        block; works on one row or a batch."""
+        n = len(perm)
+        cols = np.concatenate([b * n + perm for b in range(elem_dim)]
+                              + [np.arange(elem_dim * n, x.shape[-1])])
+        return x[..., cols]
+
     def test_identical_pair_swapped_bit_identical(self):
-        enc = self.make()
-        pair = np.array([[0.4, -0.7], [0.4, -0.7]])
-        tail = np.array([1.0, 0.0, -1.0])
-        assert np.array_equal(enc.encode(pair, tail), enc.encode(pair[::-1], tail))
+        enc = self.make(n_set=2)
+        x = self.flat([[0.4, -0.7], [0.4, -0.7]], [1.0, 0.0, -1.0])
+        swapped = self.permuted(x, np.array([1, 0]))
+        # a strided view of the same values must not change the bits either
+        strided = np.stack([swapped, np.zeros_like(swapped)], axis=1)[:, 0]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(enc.forward(x), enc.forward(strided))
 
     def test_permutation_invariance(self):
-        enc = self.make()
+        enc = self.make(n_set=7)
         rng = np.random.default_rng(0)
-        elements = rng.normal(size=(7, 2))
-        tail = rng.normal(size=3)
-        base = enc.encode(elements, tail)
+        x = rng.normal(size=(3, 7 * 2 + 3))
+        base = enc.forward(x)
         for _ in range(20):
             perm = rng.permutation(7)
-            assert np.allclose(enc.encode(elements[perm], tail), base, atol=1e-6)
+            assert np.allclose(enc.forward(self.permuted(x, perm)), base, atol=1e-6)
 
     def test_zero_phi_depends_only_on_tail(self):
-        enc = self.make()
+        enc = self.make(n_set=4)
         for p in enc.phi.parameters():
             p[...] = 0.0
         tail = np.array([1.0, 2.0, 3.0])
         rng = np.random.default_rng(1)
-        a = enc.encode(rng.normal(size=(4, 2)), tail)
-        b = enc.encode(rng.normal(size=(9, 2)), tail)
+        a = enc.forward(self.flat(rng.normal(size=(4, 2)), tail))
+        b = enc.forward(self.flat(rng.normal(size=(4, 2)) * 10.0, tail))
         assert np.allclose(a, b, atol=1e-12)
 
     def test_three_elements_match_hand_evaluation(self):
-        enc = self.make()
+        enc = self.make(n_set=3)
         elements = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
         tail = np.array([0.2, -0.1, 0.05])
         pooled = sum(enc.phi.forward(e) for e in elements)
         want = enc.rho.forward(np.concatenate([pooled, tail]))
-        assert np.allclose(enc.encode(elements, tail), want, atol=1e-12)
+        assert np.allclose(enc.forward(self.flat(elements, tail)), want, atol=1e-12)
 
     def test_empty_set_is_error(self):
         with pytest.raises(ConfigError):
-            self.make().encode(np.zeros((0, 2)), np.zeros(3))
+            self.make(n_set=0)
 
     def test_gradient_permutation_invariance(self):
-        enc = self.make(head="softmax")
+        enc = self.make(n_set=5, head="softmax")
         rng = np.random.default_rng(2)
-        elements = rng.normal(size=(5, 2))
-        tail = rng.normal(size=3)
-        coef = rng.normal(size=4)
-        enc.encode(elements, tail, train=True)
+        x = rng.normal(size=(2, 5 * 2 + 3))
+        coef = rng.normal(size=(2, 4))
+        enc.forward_train(x)
         ref = [g.copy() for g in enc.backward(coef)]
         for _ in range(5):
-            perm = rng.permutation(5)
-            enc.encode(elements[perm], tail, train=True)
+            enc.forward_train(self.permuted(x, rng.permutation(5)))
             got = enc.backward(coef)
             for a, b in zip(got, ref):
                 assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("head", ["identity", "softmax"])
     def test_finite_difference_through_encoder(self, head):
-        enc = self.make(head=head)
+        enc = self.make(n_set=4, head=head)
         rng = np.random.default_rng(4)
-        elements = rng.normal(size=(4, 2))
-        tail = rng.normal(size=3)
-        coef = rng.normal(size=4)
-        enc.encode(elements, tail, train=True)
+        x = rng.normal(size=(2, 4 * 2 + 3))
+        coef = rng.normal(size=(2, 4))
+        enc.forward_train(x)
         grads = enc.backward(coef)
-        fd = fd_gradients(lambda: float((coef * enc.encode(elements, tail)).sum()),
-                          enc.parameters())
+        fd = fd_gradients(lambda: float((coef * enc.forward(x)).sum()), enc.parameters())
         for got, want in zip(grads, fd):
             assert_rel_close(got, want)
 
-    def test_flat_adapter_matches_encode(self):
-        enc = DeepSetsEncoder(2, 3, 4, n_set=5, rng=np.random.default_rng(8))
+    def test_flat_batch_matches_hand_evaluation(self):
+        enc = DeepSetsEncoder(2, 3, 4, 5, rng=np.random.default_rng(8))
         rng = np.random.default_rng(9)
-        inst, avg = rng.normal(size=(2, 5))
-        tail = rng.normal(size=3)
-        flat = np.concatenate([inst, avg, tail])
-        elements = np.stack([inst, avg], axis=1)
-        assert np.allclose(enc.forward(flat), enc.encode(elements, tail), atol=1e-12)
+        sets = rng.normal(size=(4, 5, 2))
+        tails = rng.normal(size=(4, 3))
+        x = np.stack([self.flat(s, t) for s, t in zip(sets, tails)])
+        want = [enc.rho.forward(np.concatenate([enc.phi.forward(s).sum(axis=0), t]))
+                for s, t in zip(sets, tails)]
+        assert np.allclose(enc.forward(x), want, atol=1e-12)
+
+
+class TestRows:
+    @pytest.mark.parametrize("kind", ["mlp", "deepsets"])
+    def test_single_row_matches_one_row_batch(self, kind):
+        """One row and the same row as a (1, width) batch give bit-identical
+        outputs and gradients through every public method."""
+        def make():
+            if kind == "mlp":
+                return Mlp([13, 8, 4], head="softmax", rng=np.random.default_rng(6))
+            return DeepSetsEncoder(2, 3, 4, 5, head="softmax", rng=np.random.default_rng(6))
+
+        row_net, batch_net = make(), make()
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=13)
+        coef = rng.normal(size=4)
+        out = row_net.forward(x)
+        assert out.shape == (4,)
+        assert np.array_equal(out, batch_net.forward(x[None, :])[0])
+        out = row_net.forward_train(x)
+        assert np.array_equal(out, batch_net.forward_train(x[None, :])[0])
+        row_grads = row_net.backward(coef)
+        batch_grads = batch_net.backward(coef[None, :])
+        assert all(np.array_equal(a, b) for a, b in zip(row_grads, batch_grads))
+        assert np.array_equal(row_net.grad, batch_net.grad)
+        # the gradient must have the shape of the output it belongs to
+        with pytest.raises(ConfigError):
+            row_net.backward(coef[None, :])
+        with pytest.raises(ConfigError):
+            batch_net.backward(coef)
 
 
 class TestCheckpoints:
