@@ -17,10 +17,10 @@ runs = {}
 for guarded in (False, True):
     cfg = abr_defaults(scenario, safeguard=guarded, seed=5)
     summary = run_experiment(cfg)
-    quarter = len(summary.epoch_rebuffer) // 4
+    quarter = len(summary.epochs) // 4
     runs[guarded] = (
-        sum(summary.epoch_rebuffer[:quarter]),
-        float(np.mean(summary.epoch_metric[-60:])),
+        sum(ep.rebuffer for ep in summary.epochs[:quarter]),
+        float(np.mean([ep.metric for ep in summary.epochs[-60:]])),
     )
     tag = "guarded" if guarded else "plain"
     print(f"{tag:8s}: first-quarter rebuffer {runs[guarded][0]:8.1f} s, "

@@ -25,8 +25,8 @@ from .errors import ConfigError
 from .harness import (ExperimentConfig, abr_defaults, aggregate_boxstats,
                       aggregate_timeseries_files, cross_eval, paper_scale,
                       pretrain_checkpoint, run_experiment, scenario_cyclic,
-                      scenario_drift, scenario_fastswitch, scenario_new_workload,
-                      scenario_rare_reoccur, scenario_stationary)
+                      scenario_new_workload, scenario_rare_reoccur,
+                      scenario_stationary)
 
 
 def _build_scenario(args, env, t_c):
@@ -42,9 +42,10 @@ def _build_scenario(args, env, t_c):
     if name == "III":
         return scenario_rare_reoccur(t_sw)
     if name == "drift":
-        return scenario_drift(args.epochs or 6 * t_c)
+        return scenario_stationary("drift", args.epochs or 6 * t_c, name="SmoothDrift")
     if name == "fastswitch":
-        return scenario_fastswitch(args.epochs or 6 * t_c)
+        return scenario_stationary("fastswitch", args.epochs or 6 * t_c,
+                                   name="FastSwitch")
     if name.startswith("stationary:"):
         return scenario_stationary(name.split(":", 1)[1], args.epochs or t_c)
     raise ConfigError(f"unknown scenario {name!r}")
@@ -79,7 +80,7 @@ def _cmd_run(args):
         if args.paper_scale:
             cfg = paper_scale(cfg)
     summary = run_experiment(cfg)
-    print(f"done: {len(summary.epoch_metric)} epochs, "
+    print(f"done: {len(summary.epochs)} epochs, "
           f"post-convergence from {summary.post_convergence_from}, "
           f"outputs in {cfg.out_dir}")
     for key, stats in summary.per_workload.items():

@@ -6,7 +6,7 @@
   one-time-exploration bookkeeping for every environment index.
 * `SafetyMonitor` -- the hysteresis state machine that hands control to a
   default policy in unsafe conditions.
-* `augment_observation` -- optional appending of normalized workload
+* `augment_observation` -- appends (optionally normalized) workload
   features to the agent's observation.
 """
 
@@ -262,10 +262,8 @@ class SafetyMonitor:
         return self.controller
 
 
-def augment_observation(obs, features, enabled, scales=None):
+def augment_observation(obs, features, scales=None):
     """Append (optionally normalized) workload features to an observation."""
-    if not enabled:
-        return obs
     feats = np.asarray(features, dtype=np.float64)
     if scales is not None:
         feats = feats / np.asarray(scales, dtype=np.float64)

@@ -25,6 +25,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,14 +115,6 @@ def scenario_rare_reoccur(t_sw, keys=("A", "B", "C"), rare="C", pre_cycles=2,
     return Scenario(name, dwells)
 
 
-def scenario_drift(epochs, name="SmoothDrift"):
-    return Scenario(name, [("drift", epochs)])
-
-
-def scenario_fastswitch(epochs, name="FastSwitch"):
-    return Scenario(name, [("fastswitch", epochs)])
-
-
 # --------------------------------------------------------------------------
 # experiment config
 
@@ -198,9 +191,15 @@ class ExperimentConfig:
             if key not in presets:
                 raise ConfigError(f"scenario workload {key!r} is not among the "
                                   f"{self.env} presets ({', '.join(presets)})")
-        for name in ("t_c", "episode_len", "batch_size", "train_every"):
+        for name in ("t_c", "episode_len", "batch_size", "train_every",
+                     "buffer_capacity", "ltst_long_capacity", "small_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("entropy_start", "entropy_epochs", "eps_random_epochs",
+                     "eps_decay_epochs", "guard_calibration_epochs",
+                     "guard_anneal_epochs", "detector_warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("lr", "reward_scale"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -251,18 +250,24 @@ def paper_scale(cfg):
 # run artifacts
 
 
+class Epoch(NamedTuple):
+    """What the loop recorded for one epoch."""
+
+    workload: str           # true workload key
+    label: int              # environment index its experience was routed to
+    metric: float | None    # epoch metric; None if the epoch measured nothing
+    rebuffer: float         # real rebuffer seconds (abr; 0 for straggler)
+    n_steps: int            # steps the learner trained on
+    default_windows: int    # windows under the safeguard
+
+
 @dataclass
 class RunSummary:
     config: ExperimentConfig
     per_workload: dict = field(default_factory=dict)  # key -> BoxStats, post-convergence
-    epoch_metric: list = field(default_factory=list)
-    epoch_workload: list = field(default_factory=list)
-    epoch_detected: list = field(default_factory=list)
-    epoch_controller: list = field(default_factory=list)
-    training_log: list = field(default_factory=list)  # per-epoch routing audit
+    epochs: list = field(default_factory=list)        # one Epoch per epoch run
     post_convergence_from: int = 0      # first epoch with every workload explored
     explored_at: dict = field(default_factory=dict)  # label -> completion epoch
-    epoch_rebuffer: list = field(default_factory=list)  # real rebuffer s (abr)
     diverged: bool = False
     wall_clock_s: float = 0.0
     experts: dict = field(default_factory=dict)   # label -> learner (in memory)
@@ -271,8 +276,8 @@ class RunSummary:
         """Per-epoch metrics for one workload, from the epoch on which *every*
         workload has finished its exploration span (the red-box rule)."""
         lo = self.post_convergence_from
-        return [m for e, (m, w) in enumerate(zip(self.epoch_metric, self.epoch_workload))
-                if w == workload and e >= lo and m is not None]
+        return [ep.metric for e, ep in enumerate(self.epochs)
+                if ep.workload == workload and e >= lo and ep.metric is not None]
 
 
 # --------------------------------------------------------------------------
@@ -286,9 +291,10 @@ class _Case:
     Subclasses set `presets` (workload key -> preset), `n_actions`,
     `step_ms` (simulated time per window), `feature_scales` and
     `paper_scale` (config overrides), and implement `start_epoch(key,
-    epoch)`, `decide(agent_act)` -> (executed action, controller),
-    `_record(step_result)` -> session end, `clock_ms()`, `end_epoch()` ->
-    (epoch metric, rebuffer seconds) and `net(head, out, rng)`.
+    epoch)`, `window(agent_act)` -> (executed action, controller, reward,
+    next observation, session end), `clock_ms()`, `end_epoch()` -> (epoch
+    metric, rebuffer seconds) and `net(head, out, rng)`. `agent_act()`
+    draws the agent's action; a window calls it at most once.
     """
 
     def __init__(self, cfg, env):
@@ -296,18 +302,12 @@ class _Case:
         self.env = env
         self.width = env.obs_dim + (len(self.feature_scales) if cfg.workload_info else 0)
 
-    def _augment(self, obs, feats):
-        return augment_observation(obs, feats, self.cfg.workload_info, self.feature_scales)
-
-    def observe(self):
-        return self._augment(self.env.observe(), self.env.workload_features())
-
-    def step(self, action):
-        """(reward, next observation, session end, workload features)."""
-        res = self.env.step(action)
-        done = self._record(res)
-        feats = self.env.workload_features()
-        return res.reward, self._augment(res.obs, feats), done, feats
+    def observed(self, obs):
+        """The agent's view of `obs`: with `cfg.workload_info`, the current
+        workload features are appended (and only then computed)."""
+        if not self.cfg.workload_info:
+            return obs
+        return augment_observation(obs, self.env.workload_features(), self.feature_scales)
 
 
 class _Straggler(_Case):
@@ -338,18 +338,15 @@ class _Straggler(_Case):
     def start_epoch(self, key, epoch):
         self.env.set_workload(self.presets[key])
 
-    def decide(self, agent_act):
+    def window(self, agent_act):
         """The agent acts only while the monitor leaves it in control."""
         sim = self.env
         controller = ("agent" if self.monitor is None
                       else self.monitor.step(sim.last_window_max_queue, t=sim.now))
-        if controller == "default":
-            return st.NO_HEDGE_ACTION, controller
-        return agent_act(), controller
-
-    def _record(self, res):
+        action = st.NO_HEDGE_ACTION if controller == "default" else agent_act()
+        res = sim.step(action)
         self._latencies.extend(res.stats["latencies"])
-        return False
+        return action, controller, res.reward, self.observed(res.obs), False
 
     def clock_ms(self):
         return self.env.now
@@ -391,21 +388,18 @@ class _Abr(_Case):
         if self.guard is not None:
             self.guard.set_epoch(epoch)
 
-    def decide(self, agent_act):
+    def window(self, agent_act):
         """The agent always draws its action; the guard may then override it."""
-        agent_action = agent_act()
-        if self.guard is None:
-            return agent_action, "agent"
         env = self.env
-        action, _, controller = abr_mod.guard_step(
-            self.guard, env.real_buffer(), agent_action, env.default_action(),
-            self.guard_rng)
-        return action, controller
-
-    def _record(self, res):
+        action, controller = agent_act(), "agent"
+        if self.guard is not None:
+            action, _, controller = abr_mod.guard_step(
+                self.guard, env.real_buffer(), action, env.default_action(),
+                self.guard_rng)
+        res = env.step(action)
         self._qoe.append(res.stats["qoe"])
         self._rebuffer += res.stats["rebuffer_s"]
-        return res.done
+        return action, controller, res.reward, self.observed(res.obs), res.done
 
     def clock_ms(self):
         return self.env.session.clock_s * 1000.0
@@ -557,12 +551,14 @@ class _Detector:
             self.reported = label
         return self.reported
 
-    def observe_window(self, features):
-        """Per-window detector update; returns (reported, posterior) to log."""
+    def observe_window(self, env):
+        """Per-window detector update; returns (reported, posterior) to log.
+        Only the GMM reads `env.workload_features()`."""
         if self.mode == "truth":
             post = np.zeros(max(self.n_labels, self.reported + 1))
             post[self.reported] = 1.0
             return self.reported, post
+        features = env.workload_features()
         if self.gmm.fitted:
             post = self.gmm.posterior(features)
             self.reported = self.gmm.classify(features, post=post)
@@ -581,12 +577,12 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
     """Run `cfg.scenario` through `case`, one epoch per scenario step.
 
     Per epoch: set the workload, detect the environment and route to its
-    expert in `experts` (an ExpertManager). Per window: the case's
-    safeguard or the expert (`act(rec, obs, act_rng)`) picks the action,
-    the environment steps, the detector sees the window's workload features
-    and the training step `train` sees the transition. A frozen run
-    (`train=None`) never changes an expert and has nothing to converge:
-    every epoch counts as post-convergence.
+    expert in `experts` (an ExpertManager), and record one `Epoch`. Per
+    window: one `case.window` call, in which the case's safeguard or the
+    expert (`act(rec, obs, act_rng)`) picks the action and the environment
+    steps; then the detector sees the window and the training step `train`
+    sees the transition. A frozen run (`train=None`) never changes an expert
+    and has nothing to converge: every epoch counts as post-convergence.
 
     Returns (RunSummary, per-window detection rows, detector); the rows are
     kept only when `cfg.out_dir` is set.
@@ -596,7 +592,7 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
     keep_windows = bool(cfg.out_dir)
     windows = []
     s = RunSummary(cfg)
-    obs = case.observe()
+    obs = case.observed(case.env.observe())
 
     for epoch in range(scenario.total_epochs):
         wkey, true_label = scenario.workload_at(epoch)
@@ -607,9 +603,9 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
         default_windows = n_steps = 0
         try:
             for w in range(cfg.episode_len):
-                action, controller = case.decide(lambda: act(rec, obs, act_rng))
-                reward, next_obs, done, feats = case.step(action)
-                detected, post = detector.observe_window(feats)
+                action, controller, reward, next_obs, done = case.window(
+                    lambda: act(rec, obs, act_rng))
+                detected, post = detector.observe_window(case.env)
                 if keep_windows:
                     windows.append((case.clock_ms(), post, detected, controller))
                 agent = controller == "agent"
@@ -631,18 +627,7 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
                 train.explored(label)
             s.explored_at.setdefault(label, epoch)
 
-        metric, rebuffer = case.end_epoch()
-        s.epoch_metric.append(metric)
-        s.epoch_rebuffer.append(rebuffer)
-        s.epoch_workload.append(wkey)
-        s.epoch_detected.append(label)
-        s.epoch_controller.append("default" if default_windows > cfg.episode_len // 2
-                                  else "agent")
-        s.training_log.append({
-            "epoch": epoch, "workload_true": wkey, "label_used": label,
-            "expert": label if cfg.expert_mode != "single" else 0,
-            "n_steps": n_steps, "controller_windows_default": default_windows,
-        })
+        s.epochs.append(Epoch(wkey, label, *case.end_epoch(), n_steps, default_windows))
         if s.diverged:
             break
 
@@ -727,11 +712,10 @@ def _write_artifacts(summary, detection_rows, detector):
         w.writerow(["epoch", "t_ms", "workload_true", "workload_detected",
                     "controller", "metric"])
         epoch_ms = _CASES[cfg.env].step_ms * cfg.episode_len
-        for e, (metric, wkey, det, ctl) in enumerate(zip(
-                summary.epoch_metric, summary.epoch_workload,
-                summary.epoch_detected, summary.epoch_controller)):
-            w.writerow([e, _fmt(e * epoch_ms), wkey, det, ctl,
-                        _fmt(metric) if metric is not None else ""])
+        for e, ep in enumerate(summary.epochs):
+            ctl = "default" if ep.default_windows > cfg.episode_len // 2 else "agent"
+            w.writerow([e, _fmt(e * epoch_ms), ep.workload, ep.label, ctl,
+                        _fmt(ep.metric) if ep.metric is not None else ""])
 
     n_comp = max((len(p) for _, p, _, _ in detection_rows), default=0)
     with open(os.path.join(out, "detections.csv"), "w", newline="") as fh:
@@ -780,7 +764,7 @@ def evaluate_policy(cfg, policy_fn, workload_key, epochs, seed):
     experts = ExpertManager(lambda label: policy_fn, sub.t_c)
     summary = _loop(sub, case, experts, lambda rec, obs, rng: rec.learner(obs, rng),
                     np.random.default_rng(seed + 1), None)[0]
-    return float(np.mean([m for m in summary.epoch_metric if m is not None]))
+    return float(np.mean([ep.metric for ep in summary.epochs if ep.metric is not None]))
 
 
 def pretrain_checkpoint(cfg, workload_key, ckpt_dir):

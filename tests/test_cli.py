@@ -125,12 +125,26 @@ def _json(**changes):
     _json(lr=-1.0),
     _json(gamma=-3.0),
     _json(gamma=1.5),
+    _json(entropy_start=-0.1),
+    _json(entropy_epochs=-1),
+    _json(learner="dqn", eps_random_epochs=-1),
+    _json(learner="dqn", eps_decay_epochs=-1),
+    _json(guard_calibration_epochs=-1),
+    _json(guard_anneal_epochs=-1),
+    _json(detector="gmm", detector_warmup_epochs=-1),
+    _json(buffer_capacity=0),
+    _json(ltst_long_capacity=0),
+    _json(small_capacity=0),
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-string-number",
         "json-malformed-widths", "unknown-workload", "workload-of-other-env",
         "zero-episode-len", "label-noise-above-one", "negative-mu",
         "unknown-env", "unknown-learner", "unknown-expert-mode", "unknown-buffer",
         "unknown-detector", "zero-train-every", "zero-batch-size", "zero-reward-scale",
-        "negative-lr", "negative-gamma", "gamma-above-one"])
+        "negative-lr", "negative-gamma", "gamma-above-one", "negative-entropy-start",
+        "negative-entropy-epochs", "negative-eps-random-epochs",
+        "negative-eps-decay-epochs", "negative-guard-calibration-epochs",
+        "negative-guard-anneal-epochs", "negative-detector-warmup-epochs",
+        "zero-buffer-capacity", "zero-ltst-long-capacity", "zero-small-capacity"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
         flags = flags(tmp_path)

@@ -220,13 +220,8 @@ class TestSafetyMonitor:
 
 
 class TestAugmentObservation:
-    def test_disabled_unchanged(self):
-        obs = np.arange(4.0)
-        out = augment_observation(obs, np.array([5.0, 6.0]), enabled=False)
-        assert out is obs
-
     def test_enabled_grows_by_feature_count(self):
-        out = augment_observation(np.zeros(4), np.array([5.0, 6.0]), enabled=True)
+        out = augment_observation(np.zeros(4), np.array([5.0, 6.0]))
         assert out.shape == (6,)
 
     def test_workload_gap_visible_in_features(self):
@@ -236,7 +231,7 @@ class TestAugmentObservation:
         a = feature_stream(WORKLOAD_PRESETS["A"], 400, rng)
         c = feature_stream(WORKLOAD_PRESETS["C"], 400, rng)
         gap = (WORKLOAD_PRESETS["C"].rate - WORKLOAD_PRESETS["A"].rate)
-        obs_a = augment_observation(np.zeros(2), a.mean(axis=0), True, scales=(100.0, 1000.0))
-        obs_c = augment_observation(np.zeros(2), c.mean(axis=0), True, scales=(100.0, 1000.0))
+        obs_a = augment_observation(np.zeros(2), a.mean(axis=0), scales=(100.0, 1000.0))
+        obs_c = augment_observation(np.zeros(2), c.mean(axis=0), scales=(100.0, 1000.0))
         measured = (obs_c[2] - obs_a[2]) * 100.0
         assert measured == pytest.approx(gap, rel=0.15)

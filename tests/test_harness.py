@@ -7,20 +7,21 @@ import json
 import os
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nonstat_rl.abr import AbrEnv
 from nonstat_rl.errors import ConfigError
 from nonstat_rl.harness import (ExperimentConfig, RunSummary, Scenario,
                                 abr_defaults, aggregate_boxstats,
                                 aggregate_timeseries_files, cross_eval,
                                 evaluate_policy, paper_scale,
                                 pretrain_checkpoint, run_experiment,
-                                scenario_cyclic, scenario_drift,
-                                scenario_fastswitch, scenario_new_workload,
+                                scenario_cyclic, scenario_new_workload,
                                 scenario_rare_reoccur, scenario_stationary)
-from nonstat_rl.straggler import NO_HEDGE_ACTION
+from nonstat_rl.straggler import NO_HEDGE_ACTION, StragglerSim
 
 
 def tiny_cfg(**kw):
@@ -76,23 +77,21 @@ class TestScenarios:
 class TestRunBasics:
     def test_straggler_a2c_run_shapes(self):
         s = run_experiment(tiny_cfg())
-        assert len(s.epoch_metric) == 6
-        assert s.epoch_workload == ["C"] * 6
+        assert [ep.workload for ep in s.epochs] == ["C"] * 6
         assert not s.diverged
         assert 0 in s.experts
 
     def test_dqn_run(self):
         s = run_experiment(tiny_cfg(learner="dqn", expert_mode="single"))
-        assert len(s.epoch_metric) == 6
+        assert len(s.epochs) == 6
 
     def test_abr_run(self):
         cfg = abr_defaults(scenario_stationary("UG3", 4), t_c=3, episode_len=20,
                            entropy_epochs=2, guard_anneal_epochs=3,
                            guard_calibration_epochs=1, seed=2)
         s = run_experiment(cfg)
-        assert len(s.epoch_metric) == 4
-        assert all(m is not None for m in s.epoch_metric)
-        assert len(s.epoch_rebuffer) == 4
+        assert len(s.epochs) == 4
+        assert all(ep.metric is not None and ep.rebuffer >= 0.0 for ep in s.epochs)
 
     def test_multi_mode_uses_one_expert_per_workload(self):
         sc = Scenario("s", [("A", 3), ("C", 3)])
@@ -168,8 +167,8 @@ class TestExplorationAccounting:
         cfg = tiny_cfg(scenario=scenario_stationary("high_rate", 12), t_c=12,
                        episode_len=48)
         s = run_experiment(cfg)
-        guarded = sum(e["controller_windows_default"] for e in s.training_log)
-        trained = sum(e["n_steps"] for e in s.training_log)
+        guarded = sum(ep.default_windows for ep in s.epochs)
+        trained = sum(ep.n_steps for ep in s.epochs)
         assert guarded > 0
         assert trained == 12 * cfg.episode_len - guarded
 
@@ -191,7 +190,7 @@ class TestOracleMode:
     def test_oracle_experts_never_train_during_scenario(self):
         sc = scenario_cyclic(t_sw=3, keys=("A", "C"), cycles=1)
         s = run_experiment(tiny_cfg(scenario=sc, expert_mode="oracle"))
-        assert all(e["n_steps"] == 0 for e in s.training_log)
+        assert all(ep.n_steps == 0 for ep in s.epochs)
         assert s.post_convergence_from == 0
 
     @pytest.mark.parametrize("learner", ["a2c", "dqn"])
@@ -226,15 +225,14 @@ class TestBatchRouting:
                                    pre_cycles=1, dormant_switches=4)
         s = run_experiment(tiny_cfg(scenario=sc, t_c=2))
         label_c = sc.label_of["C"]
-        dormant = [e for e in s.training_log
-                   if e["workload_true"] != "C" and e["label_used"] == label_c]
+        dormant = [ep for ep in s.epochs if ep.workload != "C" and ep.label == label_c]
         assert dormant == []
 
     def test_experts_only_trained_on_matching_epochs(self):
         sc = scenario_cyclic(t_sw=3, keys=("A", "C"), cycles=2)
         s = run_experiment(tiny_cfg(scenario=sc))
-        for entry in s.training_log:
-            assert entry["label_used"] == sc.label_of[entry["workload_true"]]
+        for ep in s.epochs:
+            assert ep.label == sc.label_of[ep.workload]
 
 
 class TestCrossEval:
@@ -267,7 +265,7 @@ class TestCrossEval:
         # invent a second expert and take epochs from the saved one
         cfg = tiny_cfg(label_noise=0.5, t_c=8, seed=3)
         s = pretrain_checkpoint(cfg, "C", str(tmp_path))
-        assert [e["label_used"] for e in s.training_log] == [0] * 8
+        assert [ep.label for ep in s.epochs] == [0] * 8
         assert list(s.experts) == [0] and s.experts[0].updates == 8
 
     def test_missing_checkpoint_is_error(self, checkpoints):
@@ -305,8 +303,7 @@ class TestDetectorModes:
     def test_label_noise_routes_some_epochs_elsewhere(self):
         sc = scenario_cyclic(t_sw=10, keys=("A", "C"), cycles=2)
         s = run_experiment(tiny_cfg(scenario=sc, label_noise=0.3, seed=9))
-        wrong = [e for e in s.training_log
-                 if e["label_used"] != sc.label_of[e["workload_true"]]]
+        wrong = [ep for ep in s.epochs if ep.label != sc.label_of[ep.workload]]
         assert 0 < len(wrong) < 40
 
     def test_gmm_detector_fits_and_reports(self):
@@ -314,10 +311,7 @@ class TestDetectorModes:
         s = run_experiment(tiny_cfg(scenario=sc, detector="gmm",
                                     detector_warmup_epochs=12, t_c=3))
         # after warmup the reported labels should track the workload switches
-        tail = s.training_log[24:]
-        agree = np.mean([
-            e["label_used"] == sc.label_of[e["workload_true"]] for e in tail
-        ])
+        agree = np.mean([ep.label == sc.label_of[ep.workload] for ep in s.epochs[24:]])
         # component order is canonical (by arrival rate): A(25/s)=0, C(80/s)=1
         assert agree >= 0.7
 
@@ -327,12 +321,14 @@ class TestDetectorModes:
         det = _Detector(cfg, 2, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         centres = ([25.0, 80.0], [80.0, 25.0])
+        env = lambda i: SimpleNamespace(
+            workload_features=lambda: rng.normal(centres[i % 2], 1.0))
         for i in range(30):
-            det.observe_window(rng.normal(centres[i % 2], 1.0))
+            det.observe_window(env(i))
         det.maybe_fit(cfg.detector_warmup_epochs)
         assert det.gmm.fitted
         for i in range(30):
-            det.observe_window(rng.normal(centres[i % 2], 1.0))
+            det.observe_window(env(i))
         assert len(det.history) == 30
 
     def test_paper_scale_fields(self):
@@ -340,6 +336,57 @@ class TestDetectorModes:
         assert cfg.t_c == 6000 and cfg.episode_len == 128
         abr = paper_scale(abr_defaults(scenario_stationary("UG1", 1)))
         assert abr.t_c == 3000 and abr.episode_len == 490
+
+
+def tiny_env_cfg(env, **kw):
+    """A few epochs of either case study with two workloads."""
+    if env == "straggler":
+        return tiny_cfg(scenario=scenario_cyclic(2, keys=("A", "C"), cycles=2),
+                        detector_warmup_epochs=2, **kw)
+    return abr_defaults(scenario_cyclic(2, keys=("UG1", "UG3"), cycles=2), t_c=2,
+                        episode_len=12, entropy_epochs=2, guard_anneal_epochs=3,
+                        guard_calibration_epochs=1, detector_warmup_epochs=2,
+                        seed=2, **kw)
+
+
+class TestWorkloadFeaturesReadOnlyWhereUsed:
+    """Workload features are computed only for the GMM detector and for a
+    `workload_info` observation; they draw nothing, so skipping them moves
+    no result."""
+
+    @pytest.mark.parametrize("env", ["straggler", "abr"])
+    def test_truth_run_without_workload_info_never_computes_them(self, env,
+                                                                  monkeypatch, tmp_path):
+        def refuse(self):
+            raise AssertionError("workload features computed, and no one reads them")
+
+        monkeypatch.setattr(AbrEnv, "workload_features", refuse)
+        monkeypatch.setattr(StragglerSim, "workload_features", refuse)
+        s = run_experiment(tiny_env_cfg(env, out_dir=str(tmp_path / "run")))
+        assert len(s.epochs) == 8 and not s.diverged
+        key = "C" if env == "straggler" else "UG3"
+        assert np.isfinite(evaluate_policy(tiny_env_cfg(env), lambda obs, rng: 0,
+                                           key, 2, seed=3))
+
+    @pytest.mark.parametrize("env", ["straggler", "abr"])
+    @pytest.mark.parametrize("detector,workload_info,per_window,initial", [
+        ("gmm", False, 1, 0),      # the detector reads every window
+        ("truth", True, 1, 1),     # every observation, the first one too
+        ("gmm", True, 2, 1),
+    ])
+    def test_readers_compute_them(self, env, detector, workload_info, per_window,
+                                  initial, monkeypatch):
+        calls = []
+        for cls in (AbrEnv, StragglerSim):
+            def counted(self, inner=cls.workload_features):
+                calls.append(type(self))
+                return inner(self)
+            monkeypatch.setattr(cls, "workload_features", counted)
+        cfg = tiny_env_cfg(env, detector=detector, workload_info=workload_info)
+        s = run_experiment(cfg)
+        windows = len(s.epochs) * cfg.episode_len
+        assert len(calls) == per_window * windows + initial
+        assert set(calls) == {StragglerSim if env == "straggler" else AbrEnv}
 
 
 class TestDivergenceHandling:

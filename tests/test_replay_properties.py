@@ -3,7 +3,8 @@
 The reference is a list-based ring that stores `Experience` objects, as
 the buffers did before they became row matrices. For the same inserts and
 the same RNG, the row ring must return exactly the reference's rows,
-across storage growth and wraparound.
+across storage growth and wraparound. The share tests count each ring's
+rows in a batch and check them against the stated split, not a copy of it.
 """
 
 import numpy as np
@@ -113,6 +114,35 @@ def test_multi_matches_list_rings(envs, capacity, batch, seed):
             if share:
                 want.extend(refs[env].sample(share, rng_b))
         assert np.array_equal(batch_rows(got), as_rows(want))
+
+
+@SETTINGS
+@given(batch=st.integers(1, 65), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_ltst_draws_the_odd_row_from_the_long_ring(batch, n, seed):
+    # each ring holds rows tagged with its own env_index, so the column
+    # tells which ring a sampled row came from
+    buf = make_buffer("ltst", long_capacity=50, short_capacity=50)
+    for i in range(n):
+        buf.long.append(experience(i, env=0).row())
+        buf.short.append(experience(i, env=1).row())
+    got = buf.sample(batch, np.random.default_rng(seed)).env_index
+    n_long, n_short = int(np.sum(got == 0)), int(np.sum(got == 1))
+    assert n_long + n_short == batch
+    assert n_long - n_short == batch % 2
+
+
+@SETTINGS
+@given(envs=st.lists(st.integers(0, 15), min_size=1, max_size=200),
+       batch=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_multi_splits_the_batch_evenly_lowest_indices_first(envs, batch, seed):
+    buf = make_buffer("multi", capacity_each=30)
+    for i, env in enumerate(envs):
+        buf.insert(experience(i, env=env))
+    got = buf.sample(batch, np.random.default_rng(seed)).env_index
+    counts = [int(np.sum(got == env)) for env in sorted(set(envs))]
+    assert sum(counts) == batch
+    assert max(counts) - min(counts) <= 1       # every share is floor or ceil
+    assert counts == sorted(counts, reverse=True)   # extras go to the lowest
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
