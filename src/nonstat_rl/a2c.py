@@ -121,26 +121,6 @@ class A2cLearner:
             ret_all.append(ret)
         return np.concatenate(adv_all), np.concatenate(ret_all)
 
-    def surrogate_loss(self, batch, entropy_coef, advantages=None, returns=None):
-        """Scalar objectives as plain forward evaluations (no caching).
-
-        Returns (policy_loss, value_loss, mean_entropy). Used by tests to
-        finite-difference the gradients through an independent code path.
-        """
-        if advantages is None or returns is None:
-            advantages, returns = self.batch_advantages(batch)
-            if self.normalize_advantages and advantages.size > 1:
-                advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        states = np.concatenate([t.states for t in batch.trajectories])
-        actions = np.concatenate([t.actions for t in batch.trajectories])
-        probs = self.actor.forward(states)
-        logp = np.log(np.clip(probs[np.arange(len(actions)), actions], 1e-32, None))
-        ent = entropy_of(probs)
-        policy_loss = -(logp * advantages).mean() - entropy_coef * ent.mean()
-        v = self.critic.forward(states).reshape(-1)
-        value_loss = ((v - returns) ** 2).mean()
-        return policy_loss, value_loss, float(ent.mean())
-
     def update(self, batch, schedule_epoch=None):
         """One gradient step on actor and critic from an on-policy batch.
 

@@ -27,7 +27,6 @@ are still represented in its experience.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -114,18 +113,6 @@ class VideoSpec:
         noise = 1.0 + rng.uniform(-0.1, 0.1, size=(N_CHUNKS, len(BITRATES_KBPS)))
         return cls(CHUNK_S, BITRATES_KBPS, base[None, :] * noise)
 
-    @classmethod
-    def from_csv(cls, path, bitrates_kbps=BITRATES_KBPS, chunk_s=CHUNK_S):
-        sizes = np.genfromtxt(path, delimiter=",", skip_header=1)[:, 1:]
-        return cls(chunk_s, tuple(bitrates_kbps), sizes)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["chunk"] + [f"level{i}_bytes" for i in range(self.n_levels)])
-            for c in range(self.n_chunks):
-                w.writerow([c] + [f"{v:.1f}" for v in self.sizes_bytes[c]])
-
 
 # --------------------------------------------------------------------------
 # bandwidth generation
@@ -200,20 +187,6 @@ class BandwidthGen:
         return out
 
 
-def load_bandwidth_csv(path):
-    rows = np.genfromtxt(path, delimiter=",", names=True)
-    rows = np.atleast_1d(rows)
-    return np.asarray(rows["throughput_kbps"], dtype=np.float64)
-
-
-def write_bandwidth_csv(path, trace):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_s", "throughput_kbps"])
-        for t, bw in enumerate(trace):
-            w.writerow([t, f"{bw:.3f}"])
-
-
 # --------------------------------------------------------------------------
 # one video session
 
@@ -233,7 +206,6 @@ class AbrSession:
         self.buffer_s = 0.0
         self.prev_level = 0
         self.clock_s = 0.0
-        self.rows = []
 
     @property
     def done(self):
@@ -282,19 +254,9 @@ class AbrSession:
             "quality_prev": q_prev,
             "smoothness_penalty": abs(q - q_prev),
         }
-        self.rows.append(info)
         self.prev_level = level
         self.chunk += 1
         return info
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["chunk", "level", "download_s", "rebuffer_s", "buffer_s", "qoe"])
-            for r in self.rows:
-                w.writerow([r["chunk"], r["level"], f"{r['download_s']:.6f}",
-                            f"{r['rebuffer_s']:.6f}", f"{r['buffer_s']:.6f}",
-                            f"{r['qoe']:.6f}"])
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,6 @@ Subcommands:
   run         execute one experiment (config from flags or a JSON file)
   cross-eval  frozen-policy transfer between two workloads
   aggregate   pooled box statistics from timeseries CSV files
-  gen-traces  materialize synthetic workload / bandwidth traces
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence recorded.
 """
@@ -17,10 +16,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import abr as abr_mod
-from . import straggler as st
 from .errors import ConfigError
 from .harness import (ExperimentConfig, abr_defaults, aggregate_boxstats,
                       aggregate_timeseries_files, cross_eval, paper_scale,
@@ -119,21 +114,6 @@ def _cmd_aggregate(args):
     return 0
 
 
-def _cmd_gen_traces(args):
-    if args.kind == "straggler":
-        if args.preset not in st.WORKLOAD_PRESETS:
-            raise ConfigError(f"unknown workload preset {args.preset!r}")
-        st.write_trace_csv(args.out, st.WORKLOAD_PRESETS[args.preset], args.windows)
-    else:
-        if args.preset not in abr_mod.USER_GROUPS:
-            raise ConfigError(f"unknown user group {args.preset!r}")
-        gen = abr_mod.BandwidthGen(abr_mod.USER_GROUPS[args.preset],
-                                   np.random.default_rng(args.seed))
-        abr_mod.write_bandwidth_csv(args.out, gen.generate(args.duration_s))
-    print(f"wrote {args.out}")
-    return 0
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="nonstat-rl",
                                 description="online RL for time-varying systems")
@@ -189,15 +169,6 @@ def build_parser():
     a.add_argument("--out", default="-")
     a.set_defaults(fn=_cmd_aggregate)
 
-    g = sub.add_parser("gen-traces", help="write synthetic trace CSVs")
-    g.add_argument("--kind", choices=("straggler", "abr"), required=True)
-    g.add_argument("--preset", required=True)
-    g.add_argument("--windows", type=int, default=2000,
-                   help="500 ms windows (straggler)")
-    g.add_argument("--duration-s", type=int, default=2000, help="seconds (abr)")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(fn=_cmd_gen_traces)
     return p
 
 

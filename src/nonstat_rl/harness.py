@@ -51,8 +51,10 @@ class Scenario:
     dwells: list
 
     def __post_init__(self):
-        if not self.dwells or any(n <= 0 for _, n in self.dwells):
-            raise ConfigError("scenario needs positive-length dwells")
+        if not self.dwells or not all(
+                isinstance(n, Integral) and not isinstance(n, bool) and n > 0
+                for _, n in self.dwells):
+            raise ConfigError("scenario needs positive integer dwell lengths")
         self._epoch_key = []
         for key, n in self.dwells:
             self._epoch_key.extend([key] * n)
@@ -294,20 +296,31 @@ class _Case:
     epoch)`, `window(agent_act)` -> (executed action, controller, reward,
     next observation, session end), `clock_ms()`, `end_epoch()` -> (epoch
     metric, rebuffer seconds) and `net(head, out, rng)`. `agent_act()`
-    draws the agent's action; a window calls it at most once.
+    draws the agent's action; a window calls it at most once, and ends by
+    passing the environment's new observation to `observed`.
     """
 
     def __init__(self, cfg, env):
         self.cfg = cfg
         self.env = env
         self.width = env.obs_dim + (len(self.feature_scales) if cfg.workload_info else 0)
+        self._features = None
 
     def observed(self, obs):
-        """The agent's view of `obs`: with `cfg.workload_info`, the current
-        workload features are appended (and only then computed)."""
+        """The agent's view of `obs`, the environment's newest observation:
+        with `cfg.workload_info`, the workload features of the same state
+        are appended."""
+        self._features = None
         if not self.cfg.workload_info:
             return obs
-        return augment_observation(obs, self.env.workload_features(), self.feature_scales)
+        return augment_observation(obs, self.workload_features(), self.feature_scales)
+
+    def workload_features(self):
+        """The environment's workload features at the newest observation,
+        computed on first use and shared by every reader until the next."""
+        if self._features is None:
+            self._features = self.env.workload_features()
+        return self._features
 
 
 class _Straggler(_Case):
@@ -551,14 +564,14 @@ class _Detector:
             self.reported = label
         return self.reported
 
-    def observe_window(self, env):
+    def observe_window(self, source):
         """Per-window detector update; returns (reported, posterior) to log.
-        Only the GMM reads `env.workload_features()`."""
+        Only the GMM reads `source.workload_features()`."""
         if self.mode == "truth":
             post = np.zeros(max(self.n_labels, self.reported + 1))
             post[self.reported] = 1.0
             return self.reported, post
-        features = env.workload_features()
+        features = source.workload_features()
         if self.gmm.fitted:
             post = self.gmm.posterior(features)
             self.reported = self.gmm.classify(features, post=post)
@@ -605,7 +618,7 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
             for w in range(cfg.episode_len):
                 action, controller, reward, next_obs, done = case.window(
                     lambda: act(rec, obs, act_rng))
-                detected, post = detector.observe_window(case.env)
+                detected, post = detector.observe_window(case)
                 if keep_windows:
                     windows.append((case.clock_ms(), post, detected, controller))
                 agent = controller == "agent"
@@ -824,9 +837,22 @@ def aggregate_timeseries_files(paths, group_col="workload_true"):
     """Pool metric values from timeseries.csv files, grouped by a column."""
     groups = {}
     for path in paths:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+        try:
+            fh = open(path, newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+        with fh:
+            reader = csv.DictReader(fh)
+            missing = sorted({"metric", group_col} - set(reader.fieldnames or ()))
+            if missing:
+                raise ConfigError(f"{path} has no column {', '.join(missing)}")
+            for row in reader:
                 if row["metric"] == "":
                     continue
-                groups.setdefault(row[group_col], []).append(float(row["metric"]))
+                try:
+                    value = float(row["metric"])
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{path} line {reader.line_num}: metric "
+                                      f"{row['metric']!r} is not a number") from None
+                groups.setdefault(row[group_col], []).append(value)
     return groups

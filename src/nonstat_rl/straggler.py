@@ -24,7 +24,6 @@ queue has drained to the safe threshold.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from collections import deque
@@ -112,49 +111,6 @@ class FastSwitchWorkload:
     def level_at(self, t_ms):
         """Ground-truth regime label: 0 idle, 1 rushed."""
         return int(t_ms // self.dwell_ms) % 2
-
-
-@dataclass
-class TraceWorkload:
-    """Replays per-window (arrival rate, mean size) rows from a trace file."""
-
-    t_ms: np.ndarray
-    rates: np.ndarray
-    sizes: np.ndarray
-    sigma: float = 0.5
-    name: str = "trace"
-
-    def _row(self, t):
-        i = int(np.searchsorted(self.t_ms, t, side="right")) - 1
-        return min(max(i, 0), len(self.rates) - 1)
-
-    def rate_at(self, t_ms):
-        return float(self.rates[self._row(t_ms)])
-
-    def mean_size_at(self, t_ms):
-        return float(self.sizes[self._row(t_ms)])
-
-    @classmethod
-    def from_csv(cls, path, sigma=0.5):
-        rows = np.genfromtxt(path, delimiter=",", names=True)
-        rows = np.atleast_1d(rows)
-        return cls(
-            t_ms=np.asarray(rows["t_ms"], dtype=np.float64),
-            rates=np.asarray(rows["arrivals_per_s"], dtype=np.float64),
-            sizes=np.asarray(rows["mean_size_ms"], dtype=np.float64),
-            sigma=sigma,
-        )
-
-
-def write_trace_csv(path, workload, n_windows):
-    """Materialize any workload into the trace CSV schema."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_ms", "arrivals_per_s", "mean_size_ms"])
-        for i in range(n_windows):
-            t = i * WINDOW_MS
-            w.writerow([f"{t:.1f}", f"{workload.rate_at(t):.6f}",
-                        f"{workload.mean_size_at(t):.6f}"])
 
 
 # Synthetic stand-ins for production traces. Rates/sizes are picked so every

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as hst
 from nonstat_rl.abr import (BITRATES_KBPS, MAX_BUFFER_S, USER_GROUPS, AbrEnv,
                             AbrSession, BandwidthGen, FakeReplayGuard,
                             UserGroupParams, VideoSpec, bba_action, guard_step,
-                            load_bandwidth_csv, qoe, write_bandwidth_csv)
+                            qoe)
 from nonstat_rl.errors import ConfigError
 
 
@@ -86,12 +86,13 @@ class TestBufferEquation:
         spec = VideoSpec.synth(seed=3)
         trace = BandwidthGen(USER_GROUPS["UG1"], rng).generate(1500)
         s = AbrSession(spec, trace, mu=4.3)
+        rows = []
         while not s.done:
-            s.step(int(rng.integers(spec.n_levels)))
-        total = sum(r["qoe"] for r in s.rows)
-        decomposed = (sum(r["quality"] for r in s.rows)
-                      - sum(r["smoothness_penalty"] for r in s.rows)
-                      - 4.3 * sum(r["rebuffer_s"] for r in s.rows))
+            rows.append(s.step(int(rng.integers(spec.n_levels))))
+        total = sum(r["qoe"] for r in rows)
+        decomposed = (sum(r["quality"] for r in rows)
+                      - sum(r["smoothness_penalty"] for r in rows)
+                      - 4.3 * sum(r["rebuffer_s"] for r in rows))
         assert total == pytest.approx(decomposed, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -107,17 +108,6 @@ class TestBufferEquation:
             assert info["rebuffer_s"] >= 0.0
             assert s.clock_s >= clock
             clock = s.clock_s
-
-    def test_session_csv(self, tmp_path):
-        spec = flat_spec([1.0, 1.0])
-        s = AbrSession(spec, np.full(10, 1000.0))
-        s.step(0)
-        s.step(1)
-        path = tmp_path / "session.csv"
-        s.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "chunk,level,download_s,rebuffer_s,buffer_s,qoe"
-
 
 class TestQoe:
     def test_examples(self):
@@ -202,14 +192,6 @@ class TestBandwidthGen:
                    for k in ("UG1", "UG3", "UG4", "UG5"))
         assert stats["UG1"]["indiv"] > stats["UG3"]["indiv"]
 
-    def test_bandwidth_csv_roundtrip(self, tmp_path):
-        trace = BandwidthGen(USER_GROUPS["UG2"], np.random.default_rng(5)).generate(50)
-        path = tmp_path / "bw.csv"
-        write_bandwidth_csv(path, trace)
-        back = load_bandwidth_csv(path)
-        assert np.allclose(back, trace, atol=1e-3)
-
-
 class TestVideoSpec:
     def test_synth_sizes_monotone(self):
         spec = VideoSpec.synth(seed=6)
@@ -219,14 +201,6 @@ class TestVideoSpec:
     def test_non_monotone_sizes_rejected(self):
         with pytest.raises(ConfigError):
             VideoSpec(4.0, (300, 750), np.array([[100.0, 90.0]]))
-
-    def test_csv_roundtrip(self, tmp_path):
-        spec = VideoSpec.synth(seed=7)
-        path = tmp_path / "chunks.csv"
-        spec.to_csv(path)
-        back = VideoSpec.from_csv(path)
-        assert np.allclose(back.sizes_bytes, spec.sizes_bytes, rtol=1e-6)
-
 
 class TestFakeReplayGuard:
     def make_guard(self, **kw):

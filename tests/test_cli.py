@@ -3,7 +3,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from nonstat_rl.cli import main
@@ -44,29 +43,6 @@ def test_unknown_scenario_is_config_error(tmp_path):
     assert rc == 2
 
 
-def test_gen_traces_straggler(tmp_path):
-    out = tmp_path / "trace.csv"
-    assert main(["gen-traces", "--kind", "straggler", "--preset", "A",
-                 "--windows", "10", "--out", str(out)]) == 0
-    rows = read_rows(out)
-    assert len(rows) == 10
-    assert float(rows[0]["arrivals_per_s"]) == 25.0
-
-
-def test_gen_traces_abr(tmp_path):
-    out = tmp_path / "bw.csv"
-    assert main(["gen-traces", "--kind", "abr", "--preset", "UG2",
-                 "--duration-s", "30", "--seed", "1", "--out", str(out)]) == 0
-    rows = read_rows(out)
-    assert len(rows) == 30
-    assert all(float(r["throughput_kbps"]) > 0 for r in rows)
-
-
-def test_gen_traces_unknown_preset(tmp_path):
-    assert main(["gen-traces", "--kind", "abr", "--preset", "UG9",
-                 "--out", str(tmp_path / "x.csv")]) == 2
-
-
 def test_aggregate(tmp_path):
     ts = tmp_path / "ts.csv"
     with open(ts, "w", newline="") as fh:
@@ -80,6 +56,24 @@ def test_aggregate(tmp_path):
     rows = read_rows(out)
     assert [r["workload_true"] for r in rows] == ["A", "B"]
     assert float(rows[0]["count"]) == 2
+
+
+@pytest.mark.parametrize("header, flags", [
+    (None, []),
+    ("epoch,workload_true", []),
+    ("workload_true,metric", ["--group-col", "bogus"]),
+    ("metric,workload_true", []),
+], ids=["missing-file", "no-metric-column", "unknown-group-col", "non-numeric-metric"])
+def test_aggregate_bad_input_exits_2_with_one_line(header, flags, tmp_path, capsys):
+    ts = tmp_path / "ts.csv"
+    if header is not None:
+        ts.write_text(header + "\nA,1.0\n")
+    out = tmp_path / "agg.csv"
+    rc = main(["aggregate", "--inputs", str(ts), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cross_eval_with_pretrain(tmp_path, capsys):
@@ -107,6 +101,8 @@ def _json(**changes):
 @pytest.mark.parametrize("flags", [
     _json(episode_length=8),    # misspelt key
     _json(scenario={"dwells": [["A", 3]]}),
+    _json(scenario={"name": "s", "dwells": [["C", True]]}),
+    _json(scenario={"name": "s", "dwells": [["C", 3.0]]}),
     _json(episode_len="8"),
     _json(phi_widths=["a"]),    # a removed key, malformed as well
     ["--scenario", "stationary:Z"],
@@ -135,7 +131,8 @@ def _json(**changes):
     _json(buffer_capacity=0),
     _json(ltst_long_capacity=0),
     _json(small_capacity=0),
-], ids=["unknown-json-key", "json-scenario-without-name", "json-string-number",
+], ids=["unknown-json-key", "json-scenario-without-name", "json-bool-dwell",
+        "json-float-dwell", "json-string-number",
         "json-malformed-widths", "unknown-workload", "workload-of-other-env",
         "zero-episode-len", "label-noise-above-one", "negative-mu",
         "unknown-env", "unknown-learner", "unknown-expert-mode", "unknown-buffer",

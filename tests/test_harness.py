@@ -68,6 +68,18 @@ class TestScenarios:
         with pytest.raises(ConfigError):
             Scenario("bad", [("A", 0)])
 
+    @pytest.mark.parametrize("length", [2.0, 2.5, True, "2"])
+    def test_non_integer_dwell_rejected(self, length):
+        with pytest.raises(ConfigError):
+            Scenario("bad", [("A", 3), ("B", length)])
+
+    @pytest.mark.parametrize("length", [True, 2.0])
+    def test_json_dwell_must_be_an_integer(self, length):
+        obj = ExperimentConfig(scenario=scenario_stationary("C", 3)).to_json()
+        obj["scenario"]["dwells"] = [["C", length]]
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(obj)
+
     def test_json_roundtrip(self):
         sc = scenario_new_workload(t_sw=7)
         back = Scenario.from_json(sc.to_json())
@@ -351,8 +363,8 @@ def tiny_env_cfg(env, **kw):
 
 class TestWorkloadFeaturesReadOnlyWhereUsed:
     """Workload features are computed only for the GMM detector and for a
-    `workload_info` observation; they draw nothing, so skipping them moves
-    no result."""
+    `workload_info` observation, at most once per window; they draw
+    nothing, so skipping them moves no result."""
 
     @pytest.mark.parametrize("env", ["straggler", "abr"])
     def test_truth_run_without_workload_info_never_computes_them(self, env,
@@ -372,7 +384,7 @@ class TestWorkloadFeaturesReadOnlyWhereUsed:
     @pytest.mark.parametrize("detector,workload_info,per_window,initial", [
         ("gmm", False, 1, 0),      # the detector reads every window
         ("truth", True, 1, 1),     # every observation, the first one too
-        ("gmm", True, 2, 1),
+        ("gmm", True, 1, 1),       # both readers share one computation
     ])
     def test_readers_compute_them(self, env, detector, workload_info, per_window,
                                   initial, monkeypatch):

@@ -11,8 +11,7 @@ from nonstat_rl.errors import ConfigError
 from nonstat_rl.stats import BoxStats, nearest_rank
 from nonstat_rl.straggler import (NO_HEDGE_ACTION, SAFE_QUEUE, TIMEOUTS_MS,
                                   UNSAFE_QUEUE, WORKLOAD_PRESETS, FastSwitchWorkload,
-                                  StationaryWorkload, StragglerSim, TraceWorkload,
-                                  feature_stream, write_trace_csv)
+                                  StationaryWorkload, StragglerSim, feature_stream)
 
 
 def quiet_sim(n_servers=2, slowdown_prob=0.0, **kw):
@@ -231,14 +230,6 @@ class TestInvariants:
 
 
 class TestWorkloads:
-    def test_trace_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, WORKLOAD_PRESETS["fastswitch"], 200)
-        tw = TraceWorkload.from_csv(path)
-        for t in (0.0, 30_000.0, 90_000.0):
-            assert tw.rate_at(t) == pytest.approx(
-                WORKLOAD_PRESETS["fastswitch"].rate_at(t), rel=1e-6)
-
     def test_fast_switch_levels(self):
         w = FastSwitchWorkload(10.0, 50.0, dwell_ms=1000.0, mean_size=20.0)
         assert w.rate_at(500.0) == 10.0 and w.level_at(500.0) == 0
