@@ -302,22 +302,20 @@ class FakeReplayGuard:
         return self.start_value * max(0.0, 1.0 - frac)
 
     def gate(self, real_buffer, rng):
-        """Who controls this chunk, and the buffer the agent should observe."""
+        """Who controls this chunk. Afterwards `fict_buffer` is the buffer
+        the agent is shown (None: the real one)."""
         if self.start_value is None:
             self._calib_buffers.append(float(real_buffer))
         thr = self.threshold()
         if thr <= 0.0:
-            self.controller = "agent"
-            self.fict_buffer = None
-            return "agent", float(real_buffer)
-        if real_buffer >= thr:
+            self.controller, self.fict_buffer = "agent", None
+        elif real_buffer >= thr:
             if self.controller != "agent":
                 self.controller = "agent"
                 self.fict_buffer = float(rng.uniform(0.0, real_buffer))
-            return "agent", float(self.fict_buffer)
-        self.controller = "guard"
-        self.fict_buffer = None
-        return "guard", float(real_buffer)
+        else:
+            self.controller, self.fict_buffer = "guard", None
+        return self.controller
 
     def note_download(self, download_s, chunk_s):
         """Advance the fictitious buffer by a real download of a `chunk_s`
@@ -331,39 +329,28 @@ class FakeReplayGuard:
 
 
 def guard_step(guard, real_buffer, agent_action, default_action, rng):
-    """(executed action, observed buffer) under the fake-replay safeguard."""
-    controller, observed = guard.gate(real_buffer, rng)
-    executed = agent_action if controller == "agent" else default_action
-    return executed, observed, controller
+    """(executed action, controller) under the fake-replay safeguard."""
+    controller = guard.gate(real_buffer, rng)
+    return (agent_action if controller == "agent" else default_action), controller
 
 
 # --------------------------------------------------------------------------
 # streaming environment: sessions back-to-back
 
 
-@dataclass
-class AbrStepResult:
-    obs: np.ndarray
-    reward: float
-    done: bool          # session boundary
-    stats: dict
-
-
 class AbrEnv:
     """Back-to-back video sessions with fresh bandwidth draws per session.
 
-    Each step downloads one chunk. Observations: download time and measured
-    throughput of the last K chunks, the (possibly fictitious) buffer,
-    chunks left, the previous level, and the next chunk's sizes, all scaled
-    to O(1). The guard, when present, decides per chunk whether the agent's
-    action or BBA's executes.
+    Each step downloads one chunk at the level it is given. Observations:
+    download time and measured throughput of the last K chunks, the buffer
+    (the real one unless the caller passes another), chunks left, the
+    previous level, and the next chunk's sizes, all scaled to O(1).
     """
 
-    def __init__(self, group, spec=None, seed=0, guard=None):
+    def __init__(self, group, spec=None, seed=0):
         self.group = group
         self.spec = spec if spec is not None else VideoSpec.synth(seed=0)
         self.rng = np.random.default_rng(seed)
-        self.guard = guard
         self._tput_window = []  # cross-session throughput history for detection
         self.session = None
         self._new_session()
@@ -395,14 +382,12 @@ class AbrEnv:
             next_sizes / size_scale,
         ])
 
-    def real_buffer(self):
-        return self.session.buffer_s
-
     def default_action(self):
         return bba_action(self.session.buffer_s, self.spec.bitrates_kbps)
 
     def step(self, level):
-        """Execute `level` for the next chunk (gating already decided)."""
+        """Download the next chunk at `level`; returns (the session's chunk
+        record, whether the session ended). A new session starts at the end."""
         info = self.session.step(level)
         self._downloads.pop(0)
         self._downloads.append(info["download_s"])
@@ -411,26 +396,10 @@ class AbrEnv:
         self._tput_window.append(info["throughput_kbps"])
         if len(self._tput_window) > 25:
             self._tput_window.pop(0)
-
-        fict_rebuffer = (self.guard.note_download(info["download_s"], self.spec.chunk_s)
-                         if self.guard else 0.0)
-        fiction = self.guard is not None and self.guard.fict_buffer is not None
-        if fiction:
-            reward = qoe(info["quality"], info["quality_prev"], fict_rebuffer,
-                         self.session.mu)
-            observed_buffer = self.guard.fict_buffer
-        else:
-            reward = info["qoe"]
-            observed_buffer = info["buffer_s"]
-
         done = self.session.done
-        stats = dict(info)
-        stats["fict_rebuffer_s"] = fict_rebuffer
-        stats["fiction"] = fiction
         if done:
             self._new_session()
-        return AbrStepResult(self.observe(observed_buffer if not done else None),
-                             reward, done, stats)
+        return info, done
 
     def workload_features(self):
         """Mean/std of measured throughput over short and long windows."""

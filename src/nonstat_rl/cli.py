@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 training divergence recorded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -83,18 +84,27 @@ def _cmd_run(args):
     return 3 if summary.diverged else 0
 
 
+def _open_out(path):
+    """`path` opened for a CSV result; an unwritable path is a config error."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_cross_eval(args):
     cfg = ExperimentConfig(scenario=scenario_stationary(args.train, 1),
                            seed=args.seed)
-    if args.pretrain:
-        for key in {args.train, args.test}:
-            pretrain_checkpoint(cfg, key, args.checkpoints)
-    value = cross_eval(args.train, args.test, args.checkpoints, cfg,
-                       eval_epochs=args.eval_epochs, seed=args.seed)
-    print(f"normalized({args.train}->{args.test}) = {value:.4f}")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
+    # opened first, so a bad path costs no pretraining or evaluation
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
+        if args.pretrain:
+            for key in {args.train, args.test}:
+                pretrain_checkpoint(cfg, key, args.checkpoints)
+        value = cross_eval(args.train, args.test, args.checkpoints, cfg,
+                           eval_epochs=args.eval_epochs, seed=args.seed)
+        print(f"normalized({args.train}->{args.test}) = {value:.4f}")
+        if out is not None:
+            w = csv.writer(out)
             w.writerow(["train", "test", "normalized"])
             w.writerow([args.train, args.test, f"{value:.6f}"])
     return 0
@@ -103,14 +113,11 @@ def _cmd_cross_eval(args):
 def _cmd_aggregate(args):
     groups = aggregate_timeseries_files(args.inputs, group_col=args.group_col)
     rows = aggregate_boxstats(groups)
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    try:
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else _open_out(args.out)) as out:
         w = csv.writer(out)
         w.writerow([args.group_col, "p1", "p25", "p50", "p75", "p99", "mean", "count"])
         w.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -129,7 +136,8 @@ def build_parser():
     r.add_argument("--expert-mode", default="multi")
     r.add_argument("--buffer", default="ltst")
     r.add_argument("--scenario", default="I",
-                   help="I | II | III | drift | fastswitch | stationary:<KEY>")
+                   help="I | II | III | drift | fastswitch | stationary:<KEY>; "
+                        "II, III, drift and fastswitch are straggler scenarios")
     r.add_argument("--cycles", type=int, default=2)
     r.add_argument("--t-sw", type=int, default=0, help="switch period in epochs")
     r.add_argument("--t-sw-mult", type=float, default=1.0,

@@ -335,10 +335,10 @@ class _Straggler(_Case):
     paper_scale = dict(t_c=6000, episode_len=128, lr=0.001, entropy_epochs=5000,
                        eps_random_epochs=1000, eps_decay_epochs=5000)
 
-    def __init__(self, cfg, seed, guard_rng=None):
+    def __init__(self, cfg, guard_rng=None):
         """`guard_rng` is unused: the monitor draws nothing."""
         super().__init__(cfg, st.StragglerSim(
-            self.presets[cfg.scenario.workload_at(0)[0]], seed=seed,
+            self.presets[cfg.scenario.workload_at(0)[0]], seed=cfg.seed,
             safeguard_enabled=cfg.safeguard))
         self.monitor = (SafetyMonitor(st.UNSAFE_QUEUE, st.SAFE_QUEUE) if cfg.safeguard
                         else None)
@@ -372,7 +372,9 @@ class _Straggler(_Case):
 class _Abr(_Case):
     """Adaptive bitrate: back-to-back sessions, an Mlp over chunk history,
     the mean chunk QoE as epoch metric. Given a `guard_rng` (training runs)
-    and `cfg.safeguard`, it owns the `FakeReplayGuard`."""
+    and `cfg.safeguard`, it owns the `FakeReplayGuard`: it gates each chunk,
+    advances the guard's fictitious buffer, and while a fiction is active
+    rewards the agent with the fictitious QoE and shows it that buffer."""
 
     presets = abr_mod.USER_GROUPS
     n_actions = len(abr_mod.BITRATES_KBPS)
@@ -381,15 +383,15 @@ class _Abr(_Case):
     paper_scale = dict(t_c=3000, episode_len=490, lr=0.001, entropy_epochs=2000,
                        guard_anneal_epochs=2000)
 
-    def __init__(self, cfg, seed, guard_rng=None):
-        guard = None
+    def __init__(self, cfg, guard_rng=None):
+        super().__init__(cfg, abr_mod.AbrEnv(
+            self.presets[cfg.scenario.workload_at(0)[0]], seed=cfg.seed))
+        self.guard = None
         if cfg.safeguard and guard_rng is not None:
-            guard = abr_mod.FakeReplayGuard(
+            self.guard = abr_mod.FakeReplayGuard(
                 calibration_epochs=cfg.guard_calibration_epochs,
                 anneal_epochs=cfg.guard_anneal_epochs)
-        super().__init__(cfg, abr_mod.AbrEnv(
-            self.presets[cfg.scenario.workload_at(0)[0]], seed=seed, guard=guard))
-        self.guard, self.guard_rng = guard, guard_rng
+        self.guard_rng = guard_rng
         self._qoe = []
         self._rebuffer = 0.0
 
@@ -402,17 +404,25 @@ class _Abr(_Case):
             self.guard.set_epoch(epoch)
 
     def window(self, agent_act):
-        """The agent always draws its action; the guard may then override it."""
-        env = self.env
+        """The agent always draws its action; the guard may then override it.
+        The epoch metric and rebuffer seconds are the real chunk's."""
+        env, guard = self.env, self.guard
         action, controller = agent_act(), "agent"
-        if self.guard is not None:
-            action, _, controller = abr_mod.guard_step(
-                self.guard, env.real_buffer(), action, env.default_action(),
+        if guard is not None:
+            action, controller = abr_mod.guard_step(
+                guard, env.session.buffer_s, action, env.default_action(),
                 self.guard_rng)
-        res = env.step(action)
-        self._qoe.append(res.stats["qoe"])
-        self._rebuffer += res.stats["rebuffer_s"]
-        return action, controller, res.reward, self.observed(res.obs), res.done
+        info, done = env.step(action)
+        self._qoe.append(info["qoe"])
+        self._rebuffer += info["rebuffer_s"]
+        reward, shown = info["qoe"], None
+        if guard is not None and guard.fict_buffer is not None:
+            fict_rebuffer = guard.note_download(info["download_s"], env.spec.chunk_s)
+            reward = abr_mod.qoe(info["quality"], info["quality_prev"], fict_rebuffer,
+                                 env.session.mu)
+            if not done:
+                shown = guard.fict_buffer
+        return action, controller, reward, self.observed(env.observe(shown)), done
 
     def clock_ms(self):
         return self.env.session.clock_s * 1000.0
@@ -681,12 +691,15 @@ def _pretrain_oracle_experts(cfg):
 def run_experiment(cfg):
     """Train (or, in oracle mode, run pretrained frozen experts) through
     the control loop; returns a RunSummary (and writes CSV artifacts when
-    cfg.out_dir is set)."""
+    cfg.out_dir is set). An `out_dir` that cannot be written is a
+    ConfigError raised before the first epoch."""
     t_start = time.perf_counter()
+    if cfg.out_dir:
+        _write_config(cfg)
     _, s_act, s_guard, s_noise, s_train = [
         np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(5)
     ]
-    case = _CASES[cfg.env](cfg, cfg.seed, guard_rng=s_guard)
+    case = _CASES[cfg.env](cfg, guard_rng=s_guard)
     learner = _LEARNERS[cfg.learner]
     if cfg.expert_mode == "oracle":
         experts, train = _pretrain_oracle_experts(cfg), None
@@ -712,13 +725,21 @@ def _fmt(x):
     return f"{x:.6f}"
 
 
+def _write_config(cfg):
+    """Create `cfg.out_dir` and write `config.json` into it."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        with open(os.path.join(cfg.out_dir, "config.json"), "w") as fh:
+            json.dump(cfg.to_json(), fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {cfg.out_dir}: {exc}") from None
+
+
 def _write_artifacts(summary, detection_rows, detector):
+    """Write the run's CSVs and checkpoints into `cfg.out_dir`, which
+    `_write_config` made before the run."""
     cfg = summary.config
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        json.dump(cfg.to_json(), fh, indent=2, sort_keys=True)
 
     with open(os.path.join(out, "timeseries.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -773,7 +794,7 @@ def evaluate_policy(cfg, policy_fn, workload_key, epochs, seed):
     `policy_fn(obs, rng)` is the only expert, the straggler monitor still
     hands off (with `cfg.safeguard`), the ABR training guard is absent."""
     sub = _stationary(cfg, workload_key, epochs, seed)
-    case = _CASES[sub.env](sub, seed)
+    case = _CASES[sub.env](sub)
     experts = ExpertManager(lambda label: policy_fn, sub.t_c)
     summary = _loop(sub, case, experts, lambda rec, obs, rng: rec.learner(obs, rng),
                     np.random.default_rng(seed + 1), None)[0]

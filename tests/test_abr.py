@@ -1,5 +1,6 @@
 """ABR environment correctness: buffer equation, QoE, BBA, bandwidth
-generation, and the fake-replay safeguard.
+generation, and the fake-replay safeguard (driven per chunk by the harness's
+ABR case, its only owner).
 
 Oracle for the buffer dynamics: an independently coded single-step update
 applied alongside the session."""
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from nonstat_rl.abr import (BITRATES_KBPS, MAX_BUFFER_S, USER_GROUPS, AbrEnv,
-                            AbrSession, BandwidthGen, FakeReplayGuard,
-                            UserGroupParams, VideoSpec, bba_action, guard_step,
-                            qoe)
+from nonstat_rl.abr import (BITRATES_KBPS, CHUNK_S, DEFAULT_MU, HISTORY_K,
+                            MAX_BUFFER_S, USER_GROUPS, AbrEnv, AbrSession,
+                            BandwidthGen, FakeReplayGuard, UserGroupParams,
+                            VideoSpec, bba_action, buffer_step, guard_step, qoe)
 from nonstat_rl.errors import ConfigError
+from nonstat_rl.harness import _Abr, abr_defaults, scenario_stationary
 
 
 def flat_spec(sizes_s, bandwidth_kbps=1000.0, n_levels=2):
@@ -23,6 +25,23 @@ def flat_spec(sizes_s, bandwidth_kbps=1000.0, n_levels=2):
         base = s * bandwidth_kbps * 1000.0 / 8.0
         rows.append([base * (k + 1) for k in range(n_levels)])
     return VideoSpec(4.0, tuple(300 * (k + 1) for k in range(n_levels)), np.array(rows))
+
+
+def guarded_case(guard, seed=0):
+    """The harness's ABR case on UG1 in epoch 0, owning `guard`."""
+    case = _Abr(abr_defaults(scenario_stationary("UG1", 1), seed=seed),
+                guard_rng=np.random.default_rng(999))
+    case.guard = guard
+    case.start_epoch("UG1", 0)
+    return case
+
+
+def with_fiction(fict):
+    """A guard leaving the agent in control while the real buffer is at
+    least 1e-9 s, with a fiction of `fict` s already active."""
+    g = FakeReplayGuard(cap=1e-9, calibration_epochs=0)
+    g.controller, g.fict_buffer = "agent", fict
+    return g
 
 
 class TestBufferEquation:
@@ -214,25 +233,27 @@ class TestFakeReplayGuard:
         g = self.make_guard()
         g.set_epoch(1000)  # past the anneal
         assert g.threshold() == 0.0
-        executed, observed, who = guard_step(g, 7.5, 2, 0, np.random.default_rng(0))
-        assert (executed, observed, who) == (2, 7.5, "agent")
+        executed, who = guard_step(g, 7.5, 2, 0, np.random.default_rng(0))
+        assert (executed, who) == (2, "agent")
+        assert g.fict_buffer is None
 
     def test_agent_above_threshold_gets_uniform_fiction(self):
         rng = np.random.default_rng(1)
         draws = []
         for _ in range(500):
             g = self.make_guard(cap=8.0)
-            executed, observed, who = guard_step(g, 12.0, 3, 0, rng)
+            executed, who = guard_step(g, 12.0, 3, 0, rng)
             assert who == "agent" and executed == 3
-            assert 0.0 <= observed <= 12.0
-            draws.append(observed)
+            assert 0.0 <= g.fict_buffer <= 12.0
+            draws.append(g.fict_buffer)
         # uniform on [0, 12]: mean 6, sd 12/sqrt(12)
         assert abs(np.mean(draws) - 6.0) < 4 * (12 / np.sqrt(12)) / np.sqrt(500)
 
     def test_below_threshold_default_controls_real_state(self):
         g = self.make_guard(cap=8.0)
-        executed, observed, who = guard_step(g, 3.0, 5, 1, np.random.default_rng(2))
-        assert (executed, observed, who) == (1, 3.0, "guard")
+        executed, who = guard_step(g, 3.0, 5, 1, np.random.default_rng(2))
+        assert (executed, who) == (1, "guard")
+        assert g.fict_buffer is None
 
     def test_threshold_anneals_to_exactly_zero(self):
         g = FakeReplayGuard(cap=20.0, calibration_epochs=5, anneal_epochs=50)
@@ -262,15 +283,15 @@ class TestFakeReplayGuard:
     def test_fiction_persists_until_real_drops_below_threshold(self):
         g = self.make_guard(cap=8.0)
         rng = np.random.default_rng(4)
-        _, obs1, _ = guard_step(g, 12.0, 0, 0, rng)
-        fict = g.fict_buffer
+        guard_step(g, 12.0, 0, 0, rng)
         g.note_download(2.0, 4.0)
-        _, obs2, who = guard_step(g, 11.0, 0, 0, rng)
+        advanced = g.fict_buffer
+        _, who = guard_step(g, 11.0, 0, 0, rng)
         assert who == "agent"
-        assert obs2 == pytest.approx(g.fict_buffer)
+        assert g.fict_buffer == advanced  # kept, not redrawn
         # drop below: guard takes over, fiction cleared
-        _, obs3, who = guard_step(g, 3.0, 0, 0, rng)
-        assert who == "guard" and obs3 == 3.0 and g.fict_buffer is None
+        _, who = guard_step(g, 3.0, 0, 0, rng)
+        assert who == "guard" and g.fict_buffer is None
 
     @settings(max_examples=60, deadline=None)
     @given(start=hst.floats(0.0, MAX_BUFFER_S),
@@ -292,60 +313,67 @@ class TestFakeReplayGuard:
         rng = np.random.default_rng(5)
         for real in np.linspace(0.5, 24.0, 200):
             g = self.make_guard(cap=0.1)
-            _, observed, _ = guard_step(g, real, 0, 0, rng)
-            assert observed <= real
+            guard_step(g, real, 0, 0, rng)
+            assert g.fict_buffer <= real
 
 
 class TestAbrEnv:
     def test_fiction_never_leaks_into_real_dynamics(self):
-        guard = FakeReplayGuard(cap=20.0, calibration_epochs=0, anneal_epochs=10**9)
-        guard.set_epoch(0)
-        env_g = AbrEnv(USER_GROUPS["UG1"], seed=42, guard=guard)
-        guard_rng = np.random.default_rng(999)
-        executed, real_buffers = [], []
+        # the guarded case's real chunks are those of a plain environment
+        # replaying the executed actions
+        guard = FakeReplayGuard(cap=8.0, calibration_epochs=0, anneal_epochs=10**9)
+        case = guarded_case(guard, seed=42)
+        executed, fictions = [], 0
         for _ in range(120):
-            agent_action = 3
-            action, _, _ = guard_step(guard, env_g.real_buffer(), agent_action,
-                                      env_g.default_action(), guard_rng)
-            res = env_g.step(action)
+            action, _, _, _, _ = case.window(lambda: 0)
             executed.append(action)
-            real_buffers.append(res.stats["buffer_s"])
+            fictions += guard.fict_buffer is not None
+        assert 0 < fictions < 120 and len(set(executed)) > 1
+        qoe_real, rebuffer_real = case._qoe, case._rebuffer
 
-        env_plain = AbrEnv(USER_GROUPS["UG1"], seed=42, guard=None)
-        for action, want in zip(executed, real_buffers):
-            res = env_plain.step(action)
-            assert res.stats["buffer_s"] == pytest.approx(want, abs=1e-12)
+        env_plain = AbrEnv(USER_GROUPS["UG1"], seed=42)
+        infos = [env_plain.step(action)[0] for action in executed]
+        assert [info["qoe"] for info in infos] == qoe_real
+        assert sum(info["rebuffer_s"] for info in infos) == rebuffer_real
 
     def test_fiction_follows_the_spec_chunk_length(self):
         # 2 s chunks at level 0 download in 0.2 s on a flat 3,000 kbps trace;
-        # real and fictitious buffers start at 0 and must stay equal
+        # real and fictitious buffers start at 0.1 s (a 0.1 s rebuffer) and
+        # must stay equal under the case's chunk loop
         sizes = np.tile(np.asarray(BITRATES_KBPS) * 1000.0 / 8.0 * 2.0, (4, 1))
         spec = VideoSpec(2.0, BITRATES_KBPS, sizes)
-        guard = FakeReplayGuard()
-        env = AbrEnv(USER_GROUPS["UG1"], spec=spec, guard=guard)
+        guard = with_fiction(0.1)
+        case = guarded_case(guard)
+        case.env = env = AbrEnv(USER_GROUPS["UG1"], spec=spec)
         env.session = AbrSession(spec, np.full(100, 3000.0))
-        guard.fict_buffer = 0.0
+        env.session.buffer_s = 0.1
         for want in (2.0, 3.8, 5.6):
-            stats = env.step(0).stats
-            assert stats["buffer_s"] == pytest.approx(want)
-            assert guard.fict_buffer == stats["buffer_s"]
-            assert stats["fict_rebuffer_s"] == stats["rebuffer_s"]
+            _, who, reward, obs, _ = case.window(lambda: 0)
+            assert who == "agent"
+            assert env.session.buffer_s == pytest.approx(want)
+            assert guard.fict_buffer == env.session.buffer_s
+            assert reward == case._qoe[-1]  # the same rebuffer, real and fictitious
+        assert case._rebuffer == pytest.approx(0.1)
 
     def test_observation_width_and_scaling(self):
         env = AbrEnv(USER_GROUPS["UG3"], seed=0)
         assert env.obs_dim == 2 * 9 + 3 + 6
         obs = env.observe()
         assert obs.shape == (27,)
-        res = env.step(2)
-        assert res.obs.shape == (27,)
-        assert np.all(np.isfinite(res.obs))
+        info, _ = env.step(2)
+        obs = env.observe()
+        assert obs.shape == (27,)
+        assert np.all(np.isfinite(obs))
+        assert obs[2 * HISTORY_K] == info["buffer_s"] / MAX_BUFFER_S
+        assert env.observe(5.0)[2 * HISTORY_K] == 5.0 / MAX_BUFFER_S
 
     def test_done_flag_at_session_end(self):
         env = AbrEnv(USER_GROUPS["UG3"], seed=1)
         dones = []
         for _ in range(env.spec.n_chunks):
-            dones.append(env.step(0).done)
+            dones.append(env.step(0)[1])
         assert dones[-1] and not any(dones[:-1])
+        assert env.session.chunk == 0  # a new session has started
 
     def test_workload_features_shape(self):
         env = AbrEnv(USER_GROUPS["UG2"], seed=2)
@@ -354,3 +382,24 @@ class TestAbrEnv:
         feats = env.workload_features()
         assert feats.shape == (4,)
         assert feats[0] > 0 and feats[2] > 0
+
+
+class TestGuardedWindow:
+    def test_active_fiction_sets_reward_and_observation_but_not_the_metric(self):
+        # real buffer 10 s, fiction 0 s: a top-level chunk on UG1 rebuffers
+        # in both, longer in the fiction
+        case = guarded_case(with_fiction(0.0), seed=3)
+        case.env.session.buffer_s = 10.0
+        action, who, reward, obs, done = case.window(lambda: 5)
+        assert (action, who, done) == (5, "agent", False)
+
+        plain = AbrEnv(USER_GROUPS["UG1"], seed=3)
+        plain.session.buffer_s = 10.0
+        info, _ = plain.step(5)
+        fict_rebuffer, fict_buffer, _ = buffer_step(0.0, info["download_s"], CHUNK_S)
+        assert fict_rebuffer > info["rebuffer_s"] > 0
+        assert reward == qoe(info["quality"], info["quality_prev"], fict_rebuffer,
+                             DEFAULT_MU)
+        assert case.guard.fict_buffer == fict_buffer
+        assert obs[2 * HISTORY_K] == fict_buffer / MAX_BUFFER_S
+        assert case.end_epoch() == (info["qoe"], info["rebuffer_s"])

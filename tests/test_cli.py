@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from nonstat_rl import cli, harness
 from nonstat_rl.cli import main
 from nonstat_rl.harness import ExperimentConfig, scenario_stationary
 
@@ -43,6 +44,28 @@ def test_unknown_scenario_is_config_error(tmp_path):
     assert rc == 2
 
 
+def fail_if_called(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+    return fail
+
+
+def assert_one_line_config_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_dir_fails_before_training(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_loop", fail_if_called("training"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["run", "--seed", "1", "--out-dir", str(blocker / "sub"),
+               "--scenario", "stationary:C", "--epochs", "2", "--t-c", "1",
+               "--episode-len", "4"])
+    assert_one_line_config_error(rc, capsys)
+
+
 def test_aggregate(tmp_path):
     ts = tmp_path / "ts.csv"
     with open(ts, "w", newline="") as fh:
@@ -74,6 +97,24 @@ def test_aggregate_bad_input_exits_2_with_one_line(header, flags, tmp_path, caps
     assert rc == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_aggregate_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    ts = tmp_path / "ts.csv"
+    ts.write_text("workload_true,metric\nA,1.0\n")
+    rc = main(["aggregate", "--inputs", str(ts),
+               "--out", str(tmp_path / "missing" / "x.csv")])
+    assert_one_line_config_error(rc, capsys)
+
+
+def test_cross_eval_unwritable_out_fails_before_any_work(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "pretrain_checkpoint", fail_if_called("pretraining"))
+    monkeypatch.setattr(cli, "cross_eval", fail_if_called("evaluation"))
+    rc = main(["cross-eval", "--train", "C", "--test", "A",
+               "--checkpoints", str(tmp_path / "ckpt"), "--pretrain",
+               "--out", str(tmp_path / "missing" / "y.csv")])
+    assert_one_line_config_error(rc, capsys)
 
 
 def test_cross_eval_with_pretrain(tmp_path, capsys):
