@@ -1,9 +1,10 @@
 """Environment detection from workload features.
 
-Fits the diagonal-Gaussian-mixture detector on synthetic feature streams
-(arrival rate + observed processing time) and reports window-level accuracy
-against ground truth for (a) three cleanly switching workloads and (b) the
-fast idle/rushed alternation.
+Fits the diagonal-Gaussian-mixture detector on simulator windows: the
+per-window workload features (arrival rate + observed processing time) that
+`StragglerSim.workload_features` reports to the live detector, with no
+hedging. Reports window-level accuracy against ground truth for (a) three
+cleanly switching workloads and (b) the fast idle/rushed alternation.
 
 Run: python demos/environment_detection.py
 """
@@ -13,17 +14,27 @@ import itertools
 import numpy as np
 
 from nonstat_rl.framework import GmmDetector
-from nonstat_rl.straggler import WORKLOAD_PRESETS, feature_stream
+from nonstat_rl.straggler import NO_HEDGE_ACTION, WINDOW_MS, WORKLOAD_PRESETS, StragglerSim
 
-rng = np.random.default_rng(0)
 
-# (a) three workloads switching every 80 windows
-blocks, labels = [], []
+def window_features(sim, n_windows):
+    """Step `sim` unhedged for `n_windows` windows; their features in order."""
+    feats = []
+    for _ in range(n_windows):
+        sim.step(NO_HEDGE_ACTION)
+        feats.append(sim.workload_features())
+    return feats
+
+
+# (a) three workloads switching every 80 windows, as the control loop does
+sim = StragglerSim(WORKLOAD_PRESETS["A"], seed=0)
+feats, labels = [], []
 for _ in range(6):
     for idx, key in enumerate(("A", "B", "C")):
-        blocks.append(feature_stream(WORKLOAD_PRESETS[key], 80, rng))
+        sim.set_workload(WORKLOAD_PRESETS[key])
+        feats += window_features(sim, 80)
         labels.extend([idx] * 80)
-feats, labels = np.concatenate(blocks), np.asarray(labels)
+feats, labels = np.array(feats), np.asarray(labels)
 det = GmmDetector(3, dwell=4, seed=0).fit(feats)
 pred = np.array([det.classify(f) for f in feats])
 acc = max(
@@ -34,10 +45,10 @@ print(f"three-workload switching: {acc:.1%} window accuracy")
 for i, (m, v) in enumerate(zip(det.means, det.variances)):
     print(f"  component {i}: rate {m[0]:6.1f}/s  proc {m[1]:6.1f} ms")
 
-# (b) fast idle/rushed alternation
+# (b) fast idle/rushed alternation; window i starts at i * WINDOW_MS
 w = WORKLOAD_PRESETS["fastswitch"]
-feats = feature_stream(w, 2400, rng)
-truth = np.array([w.level_at(i * 500.0) for i in range(2400)])
+feats = np.array(window_features(StragglerSim(w, seed=0), 2400))
+truth = np.array([w.level_at(i * WINDOW_MS) for i in range(2400)])
 det2 = GmmDetector(2, dwell=4, seed=0).fit(feats)
 pred = np.array([det2.classify(f) for f in feats])
 acc = max(np.mean((pred if flip else 1 - pred) == truth) for flip in (0, 1))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DivergenceError, UsageError
 from .nets import Adam, save_net
+from .stats import linear_decay
 
 GAE_LAMBDA = 0.95   # GAE's lambda: the advantages' bias-variance trade-off
 
@@ -100,9 +101,7 @@ class A2cLearner:
 
     def entropy_coef(self, epoch):
         """Linear anneal from entropy_start to exactly 0 at entropy_epochs."""
-        if self.entropy_epochs <= 0:
-            return 0.0
-        return self.entropy_start * max(0.0, 1.0 - epoch / self.entropy_epochs)
+        return linear_decay(self.entropy_start, epoch, self.entropy_epochs)
 
     def act(self, obs, rng):
         """Sample an action from the current policy."""

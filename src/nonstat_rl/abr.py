@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .stats import nearest_rank
+from .stats import linear_decay, nearest_rank
 
 BITRATES_KBPS = (300, 750, 1200, 1850, 2850, 4300)
 CHUNK_S = 4.0
@@ -296,10 +296,8 @@ class FakeReplayGuard:
     def threshold(self):
         if self.start_value is None:
             return self.cap
-        if self.anneal_epochs <= 0:
-            return 0.0
-        frac = (self.epoch - self.calibration_epochs) / self.anneal_epochs
-        return self.start_value * max(0.0, 1.0 - frac)
+        return linear_decay(self.start_value, self.epoch - self.calibration_epochs,
+                            self.anneal_epochs)
 
     def gate(self, real_buffer, rng):
         """Who controls this chunk. Afterwards `fict_buffer` is the buffer

@@ -47,8 +47,25 @@ def _build_scenario(args, env, t_c):
     raise ConfigError(f"unknown scenario {name!r}")
 
 
+# `run`'s config flags parse to None when not given, so that any given next
+# to --config can be named. Without --config, a flag named for a config field
+# sets it when given (else the base config's value stands), and these four
+# give the environment and scenario when not given.
+_SCENARIO_DEFAULTS = {"env": "straggler", "scenario": "I", "cycles": 2, "t_sw_mult": 1.0}
+_FIELD_FLAGS = ("learner", "expert_mode", "buffer", "workload_info", "detector",
+                "label_noise", "episode_len", "lr", "gamma", "entropy_start",
+                "entropy_epochs", "reward_scale", "guard_anneal_epochs")
+_NOT_CONFIG_FLAGS = ("cmd", "fn", "config", "seed", "out_dir")
+
+
 def _cmd_run(args):
+    given = {name: value for name, value in vars(args).items()
+             if value is not None and name not in _NOT_CONFIG_FLAGS}
     if args.config:
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ConfigError(f"with --config, give only --seed and --out-dir, "
+                              f"not {flags}")
         try:
             with open(args.config) as fh:
                 obj = json.load(fh)
@@ -57,21 +74,18 @@ def _cmd_run(args):
         cfg = replace(ExperimentConfig.from_json(obj), seed=args.seed,
                       out_dir=args.out_dir)
     else:
+        for name, default in _SCENARIO_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         if args.env == "abr":
             base = abr_defaults(scenario_stationary("UG1", 1))
         else:
             base = ExperimentConfig(scenario=scenario_stationary("A", 1))
         t_c = args.t_c or base.t_c
-        overrides = {name: getattr(args, name) for name in (
-            "episode_len", "lr", "gamma", "entropy_start", "entropy_epochs",
-            "reward_scale", "guard_anneal_epochs") if getattr(args, name) is not None}
         cfg = replace(
             base, scenario=_build_scenario(args, args.env, t_c), env=args.env,
-            learner=args.learner, expert_mode=args.expert_mode,
-            buffer=args.buffer, workload_info=args.workload_info,
-            safeguard=not args.no_safeguard, detector=args.detector,
-            label_noise=args.label_noise, seed=args.seed, out_dir=args.out_dir,
-            t_c=t_c, **overrides,
+            safeguard=not args.no_safeguard, seed=args.seed, out_dir=args.out_dir,
+            t_c=t_c, **{name: given[name] for name in _FIELD_FLAGS if name in given},
         )
         if args.paper_scale:
             cfg = paper_scale(cfg)
@@ -127,36 +141,39 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     r = sub.add_parser("run", help="run one experiment")
-    r.add_argument("--config", help="JSON config file (overrides most flags)")
+    r.add_argument("--config",
+                   help="JSON config file; with it, no flag but --seed and "
+                        "--out-dir may be given")
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--out-dir", required=True)
-    # ExperimentConfig checks these values: a bad one is a one-line config error
-    r.add_argument("--env", default="straggler")
-    r.add_argument("--learner", default="a2c")
-    r.add_argument("--expert-mode", default="multi")
-    r.add_argument("--buffer", default="ltst")
-    r.add_argument("--scenario", default="I",
+    # the config flags: ExperimentConfig checks their values, so a bad one is
+    # a one-line config error
+    r.add_argument("--env")
+    r.add_argument("--learner")
+    r.add_argument("--expert-mode")
+    r.add_argument("--buffer")
+    r.add_argument("--scenario",
                    help="I | II | III | drift | fastswitch | stationary:<KEY>; "
                         "II, III, drift and fastswitch are straggler scenarios")
-    r.add_argument("--cycles", type=int, default=2)
-    r.add_argument("--t-sw", type=int, default=0, help="switch period in epochs")
-    r.add_argument("--t-sw-mult", type=float, default=1.0,
+    r.add_argument("--cycles", type=int)
+    r.add_argument("--t-sw", type=int, help="switch period in epochs")
+    r.add_argument("--t-sw-mult", type=float,
                    help="switch period as a multiple of T_c")
-    r.add_argument("--epochs", type=int, default=0,
+    r.add_argument("--epochs", type=int,
                    help="total epochs for single-workload scenarios")
-    r.add_argument("--t-c", type=int, default=0)
-    r.add_argument("--episode-len", type=int, default=None)
-    r.add_argument("--lr", type=float, default=None)
-    r.add_argument("--gamma", type=float, default=None)
-    r.add_argument("--entropy-start", type=float, default=None)
-    r.add_argument("--entropy-epochs", type=int, default=None)
-    r.add_argument("--reward-scale", type=float, default=None)
-    r.add_argument("--guard-anneal-epochs", type=int, default=None)
-    r.add_argument("--workload-info", action="store_true")
-    r.add_argument("--no-safeguard", action="store_true")
-    r.add_argument("--detector", default="truth")
-    r.add_argument("--label-noise", type=float, default=0.0)
-    r.add_argument("--paper-scale", action="store_true",
+    r.add_argument("--t-c", type=int)
+    r.add_argument("--episode-len", type=int)
+    r.add_argument("--lr", type=float)
+    r.add_argument("--gamma", type=float)
+    r.add_argument("--entropy-start", type=float)
+    r.add_argument("--entropy-epochs", type=int)
+    r.add_argument("--reward-scale", type=float)
+    r.add_argument("--guard-anneal-epochs", type=int)
+    r.add_argument("--workload-info", action="store_true", default=None)
+    r.add_argument("--no-safeguard", action="store_true", default=None)
+    r.add_argument("--detector")
+    r.add_argument("--label-noise", type=float)
+    r.add_argument("--paper-scale", action="store_true", default=None,
                    help="use the full-size epoch budgets")
     r.set_defaults(fn=_cmd_run)
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .nets import Adam, clone_net, save_net
+from .stats import linear_decay
 
 
 def polyak_update(target_params, online_params, alpha):
@@ -19,21 +20,6 @@ def polyak_update(target_params, online_params, alpha):
     in place on the target's flat parameter vector."""
     target_params *= 1.0 - alpha
     target_params += alpha * online_params
-
-
-class EpsilonSchedule:
-    """Fully-random warmup followed by a linear 1 -> 0 anneal."""
-
-    def __init__(self, random_epochs=1000, decay_epochs=5000):
-        self.random_epochs = random_epochs
-        self.decay_epochs = decay_epochs
-
-    def value(self, epoch):
-        if epoch < self.random_epochs:
-            return 1.0
-        if self.decay_epochs <= 0:
-            return 0.0
-        return max(0.0, 1.0 - (epoch - self.random_epochs) / self.decay_epochs)
 
 
 class DqnLearner:
@@ -46,7 +32,8 @@ class DqnLearner:
         self.gamma = gamma
         self.polyak_alpha = polyak_alpha
         self.batch_size = batch_size
-        self.schedule = EpsilonSchedule(random_epochs, decay_epochs)
+        self.random_epochs = random_epochs
+        self.decay_epochs = decay_epochs
         self.opt = Adam(qnet.params, lr=lr, weight_decay=weight_decay)
         self.updates = 0
 
@@ -60,7 +47,11 @@ class DqnLearner:
         save_net(self.online, os.path.join(directory, "qnet.npz"))
 
     def epsilon(self, epoch):
-        return self.schedule.value(epoch)
+        """Fully random for `random_epochs`, then a linear 1 -> 0 anneal
+        over `decay_epochs`."""
+        if epoch < self.random_epochs:
+            return 1.0
+        return linear_decay(1.0, epoch - self.random_epochs, self.decay_epochs)
 
     def act(self, obs, rng, schedule_epoch):
         if rng.random() < self.epsilon(schedule_epoch):
@@ -129,9 +120,6 @@ class RewardScaler:
         if env_index in self._frozen:
             return
         self._frozen[env_index] = self._estimate(env_index)
-
-    def frozen(self, env_index):
-        return env_index in self._frozen
 
     def _estimate(self, env_index):
         samples = self._samples.get(env_index)

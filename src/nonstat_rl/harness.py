@@ -529,8 +529,7 @@ class _Dqn:
 
     def window(self, rec, label, w, obs, action, reward, next_obs, done, agent):
         self.buffer.insert(Experience(obs, action, reward, next_obs, done, env_index=label))
-        if not self.scaler.frozen(label):
-            self.scaler.observe(label, reward)
+        self.scaler.observe(label, reward)  # ignored once the label's scale is frozen
         if w % self.train_every == 0 and len(self.buffer) >= self.batch_size:
             rec.learner.train_from(self.buffer, self.rng, self.scaler)
 
@@ -561,6 +560,7 @@ class _Detector:
         self.gmm = None
         self.history = []
         self.reported = 0
+        self.truth_post = None  # truth mode: the epoch's one-hot posterior
         if self.mode == "gmm":
             self.gmm = GmmDetector(n_labels, seed=cfg.seed)
 
@@ -572,15 +572,16 @@ class _Detector:
                 others = [i for i in range(max(self.n_labels, 2)) if i != label]
                 label = int(others[self.rng.integers(len(others))])
             self.reported = label
+            self.truth_post = np.zeros(max(self.n_labels, label + 1))
+            self.truth_post[label] = 1.0
         return self.reported
 
     def observe_window(self, source):
         """Per-window detector update; returns (reported, posterior) to log.
+        In truth mode every window of an epoch shares one posterior array.
         Only the GMM reads `source.workload_features()`."""
         if self.mode == "truth":
-            post = np.zeros(max(self.n_labels, self.reported + 1))
-            post[self.reported] = 1.0
-            return self.reported, post
+            return self.reported, self.truth_post
         features = source.workload_features()
         if self.gmm.fitted:
             post = self.gmm.posterior(features)

@@ -1,4 +1,5 @@
-"""Percentile and box-plot statistics used across the package.
+"""Percentile and box-plot statistics, and the linear anneal, used across
+the package.
 
 Percentiles use the nearest-rank definition: the p-th percentile of n sorted
 samples is the value at index ceil(p/100 * n) - 1.
@@ -24,6 +25,14 @@ def _at_rank(ordered, pct):
 def nearest_rank(values, pct):
     """Nearest-rank percentile; `values` need not be sorted."""
     return _at_rank(sorted(values), pct)
+
+
+def linear_decay(start, elapsed, span):
+    """`start` annealed linearly to exactly 0 at `elapsed == span`, and 0
+    from then on; 0 throughout when `span <= 0`."""
+    if span <= 0:
+        return 0.0
+    return start * max(0.0, 1.0 - elapsed / span)
 
 
 @dataclass

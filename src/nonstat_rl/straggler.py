@@ -67,9 +67,6 @@ class StationaryWorkload:
     def rate_at(self, t_ms):
         return self.rate
 
-    def mean_size_at(self, t_ms):
-        return self.mean_size
-
 
 @dataclass
 class SmoothDriftWorkload:
@@ -87,9 +84,6 @@ class SmoothDriftWorkload:
         amp = 0.5 * (self.rate_high - self.rate_low)
         return mid + amp * math.sin(2.0 * math.pi * t_ms / self.period_ms)
 
-    def mean_size_at(self, t_ms):
-        return self.mean_size
-
 
 @dataclass
 class FastSwitchWorkload:
@@ -104,9 +98,6 @@ class FastSwitchWorkload:
 
     def rate_at(self, t_ms):
         return self.rate_high if int(t_ms // self.dwell_ms) % 2 else self.rate_low
-
-    def mean_size_at(self, t_ms):
-        return self.mean_size
 
     def level_at(self, t_ms):
         """Ground-truth regime label: 0 idle, 1 rushed."""
@@ -275,9 +266,8 @@ class StragglerSim:
         heap, qlen, queues, serving = self.heap, self.qlen, self.queues, self.serving
         q_acc, busy_acc, last_upd = self.q_acc, self.busy_acc, self.last_upd
         push, pop = heappush, heappop
-        workload, lognormvariate = self.workload, self.rng.lognormvariate
-        sigma = workload.sigma
-        half_var = 0.5 * sigma * sigma
+        lognormvariate, sigma = self.rng.lognormvariate, self.workload.sigma
+        mu = math.log(self.workload.mean_size) - 0.5 * sigma * sigma
         gap, dispatch, service_time = self._arrival_gap, self.dispatch, self.draw_service_time
         log = self.event_log.append if self.keep_event_log else None
         guard, unsafe, safe = self.safeguard_enabled, self.unsafe_queue, self.safe_queue
@@ -304,8 +294,7 @@ class StragglerSim:
                         if poisson:
                             seq += 1
                             push(heap, (t + gap(t), seq, 0, None))
-                        item = lognormvariate(
-                            math.log(workload.mean_size_at(t)) - half_var, sigma)
+                        item = lognormvariate(mu, sigma)
                     jid += 1
                     job = _Job(jid, t, item)
                     n_arrived += 1
@@ -468,38 +457,3 @@ class StragglerSim:
         self.stop_arrivals()
         self._run(self.now + 10_000_000.0, arrivals=False)
 
-
-# --------------------------------------------------------------------------
-# synthetic labeled feature streams (for detector evaluation)
-
-
-def feature_stream(workload, n_windows, rng):
-    """Per-window workload features as the proxy would measure them.
-
-    Draws Poisson arrival counts and lognormal (occasionally inflated)
-    processing times directly from the generative description, then applies
-    the same M_WINDOWS smoothing as the live feature extractor. Returns an
-    (n_windows, 2) array of (arrival rate, mean processing time).
-    """
-    window_s = WINDOW_MS / 1000.0
-    raw = np.empty((n_windows, 2))
-    prev_proc = 0.0
-    for i in range(n_windows):
-        t_ms = i * WINDOW_MS
-        lam = workload.rate_at(t_ms) * window_s
-        count = rng.poisson(lam)
-        if count > 0:
-            mean = workload.mean_size_at(t_ms)
-            mu = math.log(mean) - 0.5 * workload.sigma**2
-            sizes = rng.lognormal(mu, workload.sigma, size=count)
-            inflate = rng.random(count) < SLOWDOWN_PROB
-            proc = float(np.mean(np.where(inflate, sizes * SLOWDOWN_FACTOR, sizes)))
-            prev_proc = proc
-        else:
-            proc = prev_proc
-        raw[i] = (count / window_s, proc)
-    feats = np.empty_like(raw)
-    for i in range(n_windows):
-        lo = max(0, i - M_WINDOWS + 1)
-        feats[i] = raw[lo:i + 1].mean(axis=0)
-    return feats

@@ -192,3 +192,22 @@ def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     assert rc == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--learner", "dqn", "--env", "abr", "--paper-scale", "--episode-len", "999"],
+    ["--env", "straggler"],     # a flag's default value is ignored all the same
+    ["--label-noise", "0"],
+    ["--workload-info"],
+    ["--t-sw", "0", "--cycles", "2"],
+], ids=["several", "default-env", "zero-label-noise", "store-true", "zero-t-sw"])
+def test_config_file_rejects_other_config_flags(extra, tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["run", "--seed", "1", "--out-dir", str(out), *_json()(tmp_path), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    for flag in extra:
+        if flag.startswith("--"):
+            assert flag in err
+    assert not out.exists()

@@ -8,7 +8,7 @@ deterministic chain MDP.
 import numpy as np
 import pytest
 
-from nonstat_rl.dqn import DqnLearner, EpsilonSchedule, RewardScaler, polyak_update
+from nonstat_rl.dqn import DqnLearner, RewardScaler, polyak_update
 from nonstat_rl.errors import UsageError
 from nonstat_rl.nets import Mlp
 from nonstat_rl.replay import Batch, Experience, make_buffer
@@ -79,11 +79,13 @@ class TestPolyak:
 
 class TestEpsilonSchedule:
     def test_values(self):
-        s = EpsilonSchedule(random_epochs=10, decay_epochs=100)
-        assert s.value(0) == 1.0 and s.value(9) == 1.0
-        assert s.value(10) == 1.0  # schedule position 0
-        assert s.value(60) == pytest.approx(0.5)
-        assert s.value(110) == 0.0 and s.value(500) == 0.0
+        learner = DqnLearner(Mlp([2, 4, 4], rng=np.random.default_rng(3)), gamma=0.9,
+                             random_epochs=10, decay_epochs=100)
+        eps = learner.epsilon
+        assert eps(0) == 1.0 and eps(9) == 1.0
+        assert eps(10) == 1.0  # schedule position 0
+        assert eps(60) == pytest.approx(0.5)
+        assert eps(110) == 0.0 and eps(500) == 0.0
 
     def test_uniform_at_schedule_start(self):
         qnet = Mlp([2, 4, 4], rng=np.random.default_rng(3))

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from nonstat_rl.errors import ConfigError, UsageError
 from nonstat_rl.framework import (ExpertManager, GmmDetector, SafetyMonitor,
                                   augment_observation)
-from nonstat_rl.straggler import (SAFE_QUEUE, UNSAFE_QUEUE, WORKLOAD_PRESETS,
-                                  feature_stream)
+from nonstat_rl.straggler import SAFE_QUEUE, UNSAFE_QUEUE, WORKLOAD_PRESETS
+
+from test_straggler import simulator_features
 
 
 def two_cluster_data(n_each=300, seed=0):
@@ -114,15 +115,9 @@ class TestClassify:
         assert det.classify(hi) == 1
 
     def test_three_cluster_sweep_accuracy(self):
-        rng = np.random.default_rng(9)
-        blocks, labels = [], []
         workloads = [WORKLOAD_PRESETS[k] for k in ("A", "B", "C")]
-        for rep in range(6):
-            for w_idx, w in enumerate(workloads):
-                blocks.append(feature_stream(w, 80, rng))
-                labels.extend([w_idx] * 80)
-        feats = np.concatenate(blocks)
-        labels = np.asarray(labels)
+        feats = simulator_features([(w, 80) for w in workloads] * 6, seed=9)
+        labels = np.tile(np.repeat(np.arange(3), 80), 6)
         det = GmmDetector(3, dwell=4, seed=0).fit(feats)
         pred = np.array([det.classify(f) for f in feats])
         best = max(
@@ -227,9 +222,9 @@ class TestAugmentObservation:
     def test_workload_gap_visible_in_features(self):
         # two different generators -> arrival-rate coordinate differs by the
         # configured gap (up to sampling noise)
-        rng = np.random.default_rng(11)
-        a = feature_stream(WORKLOAD_PRESETS["A"], 400, rng)
-        c = feature_stream(WORKLOAD_PRESETS["C"], 400, rng)
+        feats = simulator_features(
+            [(WORKLOAD_PRESETS["A"], 400), (WORKLOAD_PRESETS["C"], 400)], seed=11)
+        a, c = feats[:400], feats[400:]
         gap = (WORKLOAD_PRESETS["C"].rate - WORKLOAD_PRESETS["A"].rate)
         obs_a = augment_observation(np.zeros(2), a.mean(axis=0), scales=(100.0, 1000.0))
         obs_c = augment_observation(np.zeros(2), c.mean(axis=0), scales=(100.0, 1000.0))

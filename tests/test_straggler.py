@@ -11,7 +11,7 @@ from nonstat_rl.errors import ConfigError
 from nonstat_rl.stats import BoxStats, nearest_rank
 from nonstat_rl.straggler import (NO_HEDGE_ACTION, SAFE_QUEUE, TIMEOUTS_MS,
                                   UNSAFE_QUEUE, WORKLOAD_PRESETS, FastSwitchWorkload,
-                                  StationaryWorkload, StragglerSim, feature_stream)
+                                  StationaryWorkload, StragglerSim)
 
 
 def quiet_sim(n_servers=2, slowdown_prob=0.0, **kw):
@@ -21,6 +21,20 @@ def quiet_sim(n_servers=2, slowdown_prob=0.0, **kw):
     sim.stop_arrivals()
     sim.heap.clear()
     return sim
+
+
+def simulator_features(blocks, seed):
+    """Per-window `workload_features()` of one unhedged simulator run
+    through `blocks`, a sequence of (workload, n_windows), switching with
+    `set_workload` as the control loop does. Returns an (n, 2) array."""
+    sim = StragglerSim(blocks[0][0], seed=seed)
+    feats = []
+    for workload, n_windows in blocks:
+        sim.set_workload(workload)
+        for _ in range(n_windows):
+            sim.step(NO_HEDGE_ACTION)
+            feats.append(sim.workload_features())
+    return np.array(feats)
 
 
 class TestHandEventTraces:
@@ -235,10 +249,10 @@ class TestWorkloads:
         assert w.rate_at(500.0) == 10.0 and w.level_at(500.0) == 0
         assert w.rate_at(1500.0) == 50.0 and w.level_at(1500.0) == 1
 
-    def test_feature_stream_tracks_generator_gap(self):
-        rng = np.random.default_rng(3)
-        fa = feature_stream(WORKLOAD_PRESETS["A"], 300, rng)
-        fb = feature_stream(WORKLOAD_PRESETS["B"], 300, rng)
+    def test_workload_features_track_generator_gap(self):
+        a, b = WORKLOAD_PRESETS["A"], WORKLOAD_PRESETS["B"]
+        feats = simulator_features([(a, 300), (b, 300)], seed=3)
+        fa, fb = feats[:300], feats[300:]
         assert fa[:, 0].mean() == pytest.approx(WORKLOAD_PRESETS["A"].rate, rel=0.1)
         assert fb[:, 0].mean() == pytest.approx(WORKLOAD_PRESETS["B"].rate, rel=0.1)
         # B's jobs are ~2x bigger; the observed processing-time feature shows it
@@ -246,4 +260,4 @@ class TestWorkloads:
 
     def test_stationary_presets_positive(self):
         for w in WORKLOAD_PRESETS.values():
-            assert w.rate_at(0.0) > 0 and w.mean_size_at(0.0) > 0
+            assert w.rate_at(0.0) > 0 and w.mean_size > 0
