@@ -20,38 +20,48 @@ from dataclasses import replace
 from .errors import ConfigError
 from .harness import (ExperimentConfig, abr_defaults, aggregate_boxstats,
                       aggregate_timeseries_files, cross_eval, paper_scale,
-                      pretrain_checkpoint, run_experiment, scenario_cyclic,
-                      scenario_new_workload, scenario_rare_reoccur,
-                      scenario_stationary)
+                      paper_scale_fields, pretrain_checkpoint, run_experiment,
+                      scenario_cyclic, scenario_new_workload,
+                      scenario_rare_reoccur, scenario_stationary)
 
 
-def _build_scenario(args, env, t_c):
-    t_sw = args.t_sw if args.t_sw else int(round(args.t_sw_mult * t_c))
-    name = args.scenario
+# `run` rejects each of these that is given and `_build_scenario` does not read
+_SCENARIO_FLAGS = ("cycles", "t_sw", "t_sw_mult", "epochs")
+
+
+def _build_scenario(name, env, t_c, flag):
+    """The scenario `name`; `flag(name, default)` gives a scenario flag's
+    value, and the flags it is asked for are the ones the scenario reads."""
+    switch_period = lambda: flag("t_sw") or int(round(flag("t_sw_mult", 1.0) * t_c))
     if name == "I":
         if env == "abr":
-            return scenario_cyclic(t_sw, keys=("UG1", "UG2", "UG3", "UG4", "UG5"),
-                                   cycles=args.cycles)
-        return scenario_cyclic(t_sw, cycles=args.cycles)
+            return scenario_cyclic(switch_period(),
+                                   keys=("UG1", "UG2", "UG3", "UG4", "UG5"),
+                                   cycles=flag("cycles", 2))
+        return scenario_cyclic(switch_period(), cycles=flag("cycles", 2))
     if name == "II":
-        return scenario_new_workload(t_sw)
+        return scenario_new_workload(switch_period())
     if name == "III":
-        return scenario_rare_reoccur(t_sw)
+        return scenario_rare_reoccur(switch_period())
     if name == "drift":
-        return scenario_stationary("drift", args.epochs or 6 * t_c, name="SmoothDrift")
+        return scenario_stationary("drift", flag("epochs") or 6 * t_c, name="SmoothDrift")
     if name == "fastswitch":
-        return scenario_stationary("fastswitch", args.epochs or 6 * t_c,
+        return scenario_stationary("fastswitch", flag("epochs") or 6 * t_c,
                                    name="FastSwitch")
     if name.startswith("stationary:"):
-        return scenario_stationary(name.split(":", 1)[1], args.epochs or t_c)
+        return scenario_stationary(name.split(":", 1)[1], flag("epochs") or t_c)
     raise ConfigError(f"unknown scenario {name!r}")
+
+
+def _flags(names):
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 # `run`'s config flags parse to None when not given, so that any given next
 # to --config can be named. Without --config, a flag named for a config field
-# sets it when given (else the base config's value stands), and these four
+# sets it when given (else the base config's value stands), and these two
 # give the environment and scenario when not given.
-_SCENARIO_DEFAULTS = {"env": "straggler", "scenario": "I", "cycles": 2, "t_sw_mult": 1.0}
+_SCENARIO_DEFAULTS = {"env": "straggler", "scenario": "I"}
 _FIELD_FLAGS = ("learner", "expert_mode", "buffer", "workload_info", "detector",
                 "label_noise", "episode_len", "lr", "gamma", "entropy_start",
                 "entropy_epochs", "reward_scale", "guard_anneal_epochs")
@@ -63,9 +73,8 @@ def _cmd_run(args):
              if value is not None and name not in _NOT_CONFIG_FLAGS}
     if args.config:
         if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
             raise ConfigError(f"with --config, give only --seed and --out-dir, "
-                              f"not {flags}")
+                              f"not {_flags(given)}")
         try:
             with open(args.config) as fh:
                 obj = json.load(fh)
@@ -81,14 +90,31 @@ def _cmd_run(args):
             base = abr_defaults(scenario_stationary("UG1", 1))
         else:
             base = ExperimentConfig(scenario=scenario_stationary("A", 1))
+        if args.paper_scale:
+            scaled = [name for name in given if name in paper_scale_fields(base.env)]
+            if scaled:
+                raise ConfigError(f"--paper-scale sets {_flags(scaled)}; "
+                                  f"do not give them with it")
+            base = paper_scale(base)
+        if "t_sw" in given and "t_sw_mult" in given:
+            raise ConfigError("give --t-sw or --t-sw-mult, not both")
         t_c = args.t_c or base.t_c
+        read = set()
+
+        def flag(name, default=None):
+            read.add(name)
+            return given.get(name, default)
+
+        scenario = _build_scenario(args.scenario, args.env, t_c, flag)
+        unread = [name for name in _SCENARIO_FLAGS if name in given and name not in read]
+        if unread:
+            raise ConfigError(f"--scenario {args.scenario} does not read "
+                              f"{_flags(unread)}")
         cfg = replace(
-            base, scenario=_build_scenario(args, args.env, t_c), env=args.env,
+            base, scenario=scenario, env=args.env,
             safeguard=not args.no_safeguard, seed=args.seed, out_dir=args.out_dir,
             t_c=t_c, **{name: given[name] for name in _FIELD_FLAGS if name in given},
         )
-        if args.paper_scale:
-            cfg = paper_scale(cfg)
     summary = run_experiment(cfg)
     print(f"done: {len(summary.epochs)} epochs, "
           f"post-convergence from {summary.post_convergence_from}, "

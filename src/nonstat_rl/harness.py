@@ -2,9 +2,9 @@
 act/learn control loop, baselines, metric aggregation, and CSV emission.
 
 A run is driven by an `ExperimentConfig` and produces a `RunSummary` plus
-(if `out_dir` is set) `timeseries.csv`, `detections.csv`, `summary.csv`,
-and per-environment expert checkpoints. Identical config + seed gives
-byte-identical outputs.
+(if `out_dir` is set) `timeseries.csv` and `detections.csv`, written as
+each epoch ends, then `summary.csv` and per-environment expert checkpoints.
+Identical config + seed gives byte-identical outputs.
 
 Training runs, oracle runs, checkpoint pretraining and frozen-policy
 evaluation all go through one loop, `_loop`. What differs between the two
@@ -19,6 +19,7 @@ convergence span T_c). Paper-scale values are plain config fields.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -246,6 +247,11 @@ def abr_defaults(scenario, **overrides):
 def paper_scale(cfg):
     """The paper's full-size epoch budgets (hours-to-days of compute)."""
     return replace(cfg, **_CASES[cfg.env].paper_scale)
+
+
+def paper_scale_fields(env):
+    """The config fields `paper_scale` sets for `env`."""
+    return tuple(_CASES[env].paper_scale)
 
 
 # --------------------------------------------------------------------------
@@ -550,45 +556,55 @@ _LEARNERS = {"a2c": _A2c, "dqn": _Dqn}
 class _Detector:
     """Environment labeling: noisy ground truth (decided per epoch) or an
     online-fitted GMM over per-window workload features (which therefore
-    reacts to switches with the feature-window + dwell lag)."""
+    reacts to switches with the feature-window + dwell lag).
+
+    `width` is the length of every posterior it reports, fixed by config:
+    the GMM's component count, or the number of labels the truth can report
+    (a noisy label of a one-workload scenario is 1)."""
 
     def __init__(self, cfg, n_labels, rng):
         self.cfg = cfg
-        self.n_labels = n_labels
         self.rng = rng
         self.mode = cfg.detector
         self.gmm = None
         self.history = []
         self.reported = 0
-        self.truth_post = None  # truth mode: the epoch's one-hot posterior
+        self.width = n_labels
         if self.mode == "gmm":
             self.gmm = GmmDetector(n_labels, seed=cfg.seed)
+        elif cfg.label_noise > 0:
+            self.width = max(n_labels, 2)
+        # what every window of the epoch reports: the truth's one-hot, or
+        # zeros before the GMM is fitted
+        self.post = np.zeros(self.width)
 
     def epoch_label(self, true_label):
         """The environment index used to route this epoch's experience."""
         if self.mode == "truth":
             label = true_label
             if self.cfg.label_noise > 0 and self.rng.random() < self.cfg.label_noise:
-                others = [i for i in range(max(self.n_labels, 2)) if i != label]
+                others = [i for i in range(self.width) if i != label]
                 label = int(others[self.rng.integers(len(others))])
             self.reported = label
-            self.truth_post = np.zeros(max(self.n_labels, label + 1))
-            self.truth_post[label] = 1.0
+            self.post = np.zeros(self.width)
+            self.post[label] = 1.0
         return self.reported
 
     def observe_window(self, source):
         """Per-window detector update; returns (reported, posterior) to log.
-        In truth mode every window of an epoch shares one posterior array.
+        Only the fitted GMM gives a window a posterior array of its own.
         Only the GMM reads `source.workload_features()`."""
         if self.mode == "truth":
-            return self.reported, self.truth_post
+            return self.reported, self.post
         features = source.workload_features()
         if self.gmm.fitted:
             post = self.gmm.posterior(features)
             self.reported = self.gmm.classify(features, post=post)
+            if len(post) < self.width:  # a degenerate fit has one component
+                post = np.concatenate([post, np.zeros(self.width - len(post))])
             return self.reported, post
         self.history.append(np.asarray(features, dtype=np.float64))  # to fit on
-        return self.reported, np.zeros(self.gmm.n_components)
+        return self.reported, self.post
 
     def maybe_fit(self, epoch):
         if (self.mode == "gmm" and not self.gmm.fitted
@@ -597,23 +613,23 @@ class _Detector:
             self.gmm.fit(np.asarray(self.history))
 
 
-def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
+def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=None):
     """Run `cfg.scenario` through `case`, one epoch per scenario step.
 
-    Per epoch: set the workload, detect the environment and route to its
-    expert in `experts` (an ExpertManager), and record one `Epoch`. Per
-    window: one `case.window` call, in which the case's safeguard or the
-    expert (`act(rec, obs, act_rng)`) picks the action and the environment
-    steps; then the detector sees the window and the training step `train`
-    sees the transition. A frozen run (`train=None`) never changes an expert
-    and has nothing to converge: every epoch counts as post-convergence.
+    Per epoch: set the workload, detect the environment with `detector` (a
+    `_Detector`) and route to its expert in `experts` (an ExpertManager),
+    and record one `Epoch`. Per window: one `case.window` call, in which the
+    case's safeguard or the expert (`act(rec, obs, act_rng)`) picks the
+    action and the environment steps; then the detector sees the window and
+    the training step `train` sees the transition. A frozen run
+    (`train=None`) never changes an expert and has nothing to converge:
+    every epoch counts as post-convergence.
 
-    Returns (RunSummary, per-window detection rows, detector); the rows are
-    kept only when `cfg.out_dir` is set.
+    Given `write_epoch` (from `_epoch_writer`), each finished epoch, a
+    diverged run's partial last one included, is passed to it with its
+    per-window detection rows, which are then dropped.
     """
     scenario = cfg.scenario
-    detector = _Detector(cfg, len(scenario.keys), noise_rng)
-    keep_windows = bool(cfg.out_dir)
     windows = []
     s = RunSummary(cfg)
     obs = case.observed(case.env.observe())
@@ -630,7 +646,7 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
                 action, controller, reward, next_obs, done = case.window(
                     lambda: act(rec, obs, act_rng))
                 detected, post = detector.observe_window(case)
-                if keep_windows:
+                if write_epoch is not None:
                     windows.append((case.clock_ms(), post, detected, controller))
                 agent = controller == "agent"
                 if not agent:
@@ -651,7 +667,11 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
                 train.explored(label)
             s.explored_at.setdefault(label, epoch)
 
-        s.epochs.append(Epoch(wkey, label, *case.end_epoch(), n_steps, default_windows))
+        ep = Epoch(wkey, label, *case.end_epoch(), n_steps, default_windows)
+        s.epochs.append(ep)
+        if write_epoch is not None:
+            write_epoch(epoch, ep, windows)
+            windows.clear()
         if s.diverged:
             break
 
@@ -664,7 +684,7 @@ def _loop(cfg, case, experts, act, act_rng, noise_rng, train=None):
         vals = s.metric_values(key)
         if vals:
             s.per_workload[key] = BoxStats.from_values(vals)
-    return s, windows, detector
+    return s
 
 
 def _stationary(cfg, workload_key, epochs, seed):
@@ -691,9 +711,10 @@ def _pretrain_oracle_experts(cfg):
 
 def run_experiment(cfg):
     """Train (or, in oracle mode, run pretrained frozen experts) through
-    the control loop; returns a RunSummary (and writes CSV artifacts when
-    cfg.out_dir is set). An `out_dir` that cannot be written is a
-    ConfigError raised before the first epoch."""
+    the control loop; returns a RunSummary. When cfg.out_dir is set it
+    writes the CSV artifacts, `timeseries.csv` and `detections.csv` as each
+    epoch ends; an `out_dir` that cannot be written is a ConfigError raised
+    before the first epoch."""
     t_start = time.perf_counter()
     if cfg.out_dir:
         _write_config(cfg)
@@ -710,11 +731,14 @@ def run_experiment(cfg):
                 cfg, case, np.random.default_rng((cfg.seed, label, 0xA11CE))),
             cfg.t_c, mode=cfg.expert_mode)
         train = learner(cfg, s_train)
-    summary, windows, detector = _loop(cfg, case, experts, learner.act, s_act,
-                                       s_noise, train)
+    detector = _Detector(cfg, len(cfg.scenario.keys), s_noise)
+    with (_epoch_writer(cfg, detector.width) if cfg.out_dir
+          else contextlib.nullcontext()) as write_epoch:
+        summary = _loop(cfg, case, experts, learner.act, s_act, detector, train,
+                        write_epoch)
     summary.wall_clock_s = time.perf_counter() - t_start
     if cfg.out_dir:
-        _write_artifacts(summary, windows, detector)
+        _write_artifacts(summary, detector)
     return summary
 
 
@@ -736,31 +760,43 @@ def _write_config(cfg):
         raise ConfigError(f"cannot write to {cfg.out_dir}: {exc}") from None
 
 
-def _write_artifacts(summary, detection_rows, detector):
-    """Write the run's CSVs and checkpoints into `cfg.out_dir`, which
-    `_write_config` made before the run."""
+@contextlib.contextmanager
+def _epoch_writer(cfg, width):
+    """Open `timeseries.csv` and `detections.csv` in `cfg.out_dir` and yield
+    `write(epoch, ep, windows)`, which writes the `Epoch` row `ep` and its
+    (t_ms, posterior of `width`, reported, controller) window rows and
+    flushes both files, so a run stopped after k epochs leaves k epochs."""
+    out = cfg.out_dir
+    with open(os.path.join(out, "timeseries.csv"), "w", newline="") as ts_fh, \
+            open(os.path.join(out, "detections.csv"), "w", newline="") as det_fh:
+        ts, det = csv.writer(ts_fh), csv.writer(det_fh)
+        ts.writerow(["epoch", "t_ms", "workload_true", "workload_detected",
+                     "controller", "metric"])
+        det.writerow(["t_ms"] + [f"posterior_{i}" for i in range(width)]
+                     + ["reported", "controller"])
+        epoch_ms = _CASES[cfg.env].step_ms * cfg.episode_len
+
+        def write(e, ep, windows):
+            ctl = "default" if ep.default_windows > cfg.episode_len // 2 else "agent"
+            ts.writerow([e, _fmt(e * epoch_ms), ep.workload, ep.label, ctl,
+                         _fmt(ep.metric) if ep.metric is not None else ""])
+            last = cells = None
+            for t, post, reported, controller in windows:
+                if post is not last:  # windows share one array until a GMM fit
+                    cells, last = [_fmt(p) for p in post.tolist()], post
+                det.writerow([_fmt(t), *cells, reported, controller])
+            ts_fh.flush()
+            det_fh.flush()
+
+        yield write
+
+
+def _write_artifacts(summary, detector):
+    """Write `summary.csv`, `status.json`, the expert checkpoints and a
+    fitted detector into `cfg.out_dir`, which `_write_config` made before
+    the run."""
     cfg = summary.config
     out = cfg.out_dir
-
-    with open(os.path.join(out, "timeseries.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "t_ms", "workload_true", "workload_detected",
-                    "controller", "metric"])
-        epoch_ms = _CASES[cfg.env].step_ms * cfg.episode_len
-        for e, ep in enumerate(summary.epochs):
-            ctl = "default" if ep.default_windows > cfg.episode_len // 2 else "agent"
-            w.writerow([e, _fmt(e * epoch_ms), ep.workload, ep.label, ctl,
-                        _fmt(ep.metric) if ep.metric is not None else ""])
-
-    n_comp = max((len(p) for _, p, _, _ in detection_rows), default=0)
-    with open(os.path.join(out, "detections.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_ms"] + [f"posterior_{i}" for i in range(n_comp)]
-                   + ["reported", "controller"])
-        for t, post, reported, controller in detection_rows:
-            padded = list(post) + [0.0] * (n_comp - len(post))
-            w.writerow([_fmt(t)] + [_fmt(p) for p in padded]
-                       + [reported, controller])
 
     with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -798,7 +834,8 @@ def evaluate_policy(cfg, policy_fn, workload_key, epochs, seed):
     case = _CASES[sub.env](sub)
     experts = ExpertManager(lambda label: policy_fn, sub.t_c)
     summary = _loop(sub, case, experts, lambda rec, obs, rng: rec.learner(obs, rng),
-                    np.random.default_rng(seed + 1), None)[0]
+                    np.random.default_rng(seed + 1),
+                    _Detector(sub, len(sub.scenario.keys), None))
     return float(np.mean([ep.metric for ep in summary.epochs if ep.metric is not None]))
 
 

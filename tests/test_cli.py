@@ -2,6 +2,7 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,6 +65,80 @@ def test_unwritable_out_dir_fails_before_training(tmp_path, capsys, monkeypatch)
                "--scenario", "stationary:C", "--epochs", "2", "--t-c", "1",
                "--episode-len", "4"])
     assert_one_line_config_error(rc, capsys)
+
+
+def stub_run(monkeypatch):
+    """Stub `run_experiment` in the CLI; returns the list of configs it got."""
+    configs = []
+
+    def run(cfg):
+        configs.append(cfg)
+        return SimpleNamespace(epochs=[], post_convergence_from=0, per_workload={},
+                               diverged=False)
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    return configs
+
+
+@pytest.mark.parametrize("env, t_c, episode_len, n_keys", [
+    ("straggler", 6000, 128, 3), ("abr", 3000, 490, 5)])
+def test_paper_scale_builds_the_scenario_at_paper_t_c(env, t_c, episode_len, n_keys,
+                                                      tmp_path, monkeypatch):
+    configs = stub_run(monkeypatch)
+    assert main(["run", "--seed", "1", "--out-dir", str(tmp_path), "--env", env,
+                 "--scenario", "I", "--paper-scale"]) == 0
+    cfg, = configs
+    assert (cfg.t_c, cfg.episode_len) == (t_c, episode_len)
+    assert [n for _, n in cfg.scenario.dwells] == [t_c] * (2 * n_keys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-c", "50"], ["--episode-len", "9"], ["--lr", "0.1"],
+    ["--entropy-epochs", "3"], ["--env", "abr", "--guard-anneal-epochs", "5"],
+], ids=["t-c", "episode-len", "lr", "entropy-epochs", "guard-anneal-epochs"])
+def test_paper_scale_rejects_the_flags_it_sets(flags, tmp_path, capsys, monkeypatch):
+    configs = stub_run(monkeypatch)
+    rc = main(["run", "--seed", "1", "--out-dir", str(tmp_path / "x"),
+               "--paper-scale", *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert flags[-2] in err
+    assert configs == []
+
+
+@pytest.mark.parametrize("flags, unread", [
+    (["--scenario", "I", "--epochs", "5"], "--epochs"),
+    (["--scenario", "II", "--epochs", "5"], "--epochs"),
+    (["--scenario", "II", "--cycles", "3"], "--cycles"),
+    (["--scenario", "drift", "--cycles", "3"], "--cycles"),
+    (["--scenario", "stationary:C", "--t-sw", "4"], "--t-sw"),
+    (["--scenario", "fastswitch", "--t-sw-mult", "2"], "--t-sw-mult"),
+    (["--scenario", "I", "--t-sw", "4", "--t-sw-mult", "2"], "--t-sw-mult"),
+], ids=["epochs-I", "epochs-II", "cycles-II", "cycles-drift", "t-sw-stationary",
+        "t-sw-mult-fastswitch", "t-sw-and-t-sw-mult"])
+def test_scenario_flag_the_scenario_does_not_read_exits_2(flags, unread, tmp_path,
+                                                          capsys, monkeypatch):
+    configs = stub_run(monkeypatch)
+    rc = main(["run", "--seed", "1", "--out-dir", str(tmp_path / "x"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert unread in err
+    assert configs == []
+
+
+def test_scenario_flags_where_read_build_the_schedule(tmp_path, monkeypatch):
+    configs = stub_run(monkeypatch)
+    out = str(tmp_path / "x")
+    for flags in (["--scenario", "I", "--cycles", "3", "--t-sw", "4"],
+                  ["--scenario", "III", "--t-sw-mult", "0.5", "--t-c", "10"],
+                  ["--scenario", "drift", "--epochs", "7"]):
+        assert main(["run", "--seed", "1", "--out-dir", out, *flags]) == 0
+    cyclic, rare, drift = (cfg.scenario for cfg in configs)
+    assert [n for _, n in cyclic.dwells] == [4] * 9
+    assert {n for _, n in rare.dwells} == {5}
+    assert drift.total_epochs == 7
 
 
 def test_aggregate(tmp_path):

@@ -3,8 +3,10 @@ oracle equivalence, batch-routing audits, cross-evaluation anchors, and
 aggregation."""
 
 import csv
+import gc
 import json
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -14,6 +16,7 @@ import pytest
 
 from nonstat_rl.abr import AbrEnv
 from nonstat_rl.errors import ConfigError
+from nonstat_rl.framework import ExpertManager
 from nonstat_rl.harness import (ExperimentConfig, RunSummary, Scenario,
                                 abr_defaults, aggregate_boxstats,
                                 aggregate_timeseries_files, cross_eval,
@@ -159,6 +162,66 @@ class TestArtifacts:
         with open(tmp_path / "x" / "config.json") as fh:
             back = ExperimentConfig.from_json(json.load(fh))
         assert back == cfg
+
+
+class TestEpochByEpochArtifacts:
+    """timeseries.csv and detections.csv are written as each epoch ends."""
+
+    def test_stopped_run_keeps_its_finished_epochs(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(scenario=scenario_cyclic(t_sw=3, keys=("A", "C"), cycles=1),
+                       detector="gmm", detector_warmup_epochs=2)
+        run_experiment(replace(cfg, out_dir=str(tmp_path / "full")))
+
+        class Stop(Exception):
+            pass
+
+        k, started = 4, []
+        signal = ExpertManager.signal
+
+        def stop_at_epoch_k(self, label):
+            if len(started) == k:
+                raise Stop
+            started.append(label)
+            return signal(self, label)
+
+        monkeypatch.setattr(ExpertManager, "signal", stop_at_epoch_k)
+        with pytest.raises(Stop):
+            run_experiment(replace(cfg, out_dir=str(tmp_path / "stopped")))
+        for name, rows in (("timeseries.csv", k), ("detections.csv", k * cfg.episode_len)):
+            stopped = (tmp_path / "stopped" / name).read_bytes()
+            assert stopped.count(b"\n") == 1 + rows, name
+            assert (tmp_path / "full" / name).read_bytes().startswith(stopped), name
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path):
+        # The simulator's job/copy reference cycles wait for the cyclic
+        # collector; with everything older frozen and a full collection
+        # every 100 allocations, the peak is the run's live memory.
+        def peak(epochs):
+            cfg = tiny_cfg(scenario=scenario_stationary("A", epochs), t_c=2,
+                           episode_len=48, entropy_epochs=2,
+                           out_dir=str(tmp_path / str(epochs)))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up: first-use allocations
+        thresholds = gc.get_threshold()
+        gc.collect()
+        gc.freeze()
+        gc.set_threshold(100, 1, 1)
+        try:
+            short = peak(2)
+            growth = peak(34) - short
+        finally:
+            gc.set_threshold(*thresholds)
+            gc.unfreeze()
+        # 32 more epochs of 48 windows; keeping every window's detection row
+        # until the run ends costs about 120 B a window here (about 180 KB)
+        assert growth < 48_000
 
 
 class TestExplorationAccounting:
@@ -342,6 +405,34 @@ class TestDetectorModes:
         for i in range(30):
             det.observe_window(env(i))
         assert len(det.history) == 30
+
+    @pytest.mark.parametrize("scenario, label_noise, width", [
+        (scenario_stationary("A", 1), 0.0, 1),
+        (scenario_stationary("A", 1), 0.2, 2),   # the noisy label is 1
+        (scenario_cyclic(1, keys=("A", "B", "C")), 0.2, 3),
+    ])
+    def test_truth_posterior_width_is_fixed_by_config(self, scenario, label_noise,
+                                                      width):
+        from nonstat_rl.harness import _Detector
+        cfg = tiny_cfg(scenario=scenario, label_noise=label_noise)
+        det = _Detector(cfg, len(scenario.keys), np.random.default_rng(0))
+        for _ in range(20):
+            label = det.epoch_label(0)
+            reported, post = det.observe_window(None)
+            assert reported == label < width == det.width == len(post)
+            assert post[label] == 1.0 == post.sum()
+
+    def test_degenerate_gmm_posterior_keeps_the_width(self):
+        from nonstat_rl.harness import _Detector
+        det = _Detector(tiny_cfg(detector="gmm"), 3, None)
+        constant = SimpleNamespace(workload_features=lambda: np.array([5.0, 1.0]))
+        for _ in range(30):
+            assert len(det.observe_window(constant)[1]) == 3
+        with pytest.warns(UserWarning, match="degenerate"):
+            det.maybe_fit(det.cfg.detector_warmup_epochs)
+        assert det.gmm.degenerate
+        reported, post = det.observe_window(constant)
+        assert reported == 0 and list(post) == [1.0, 0.0, 0.0]
 
     def test_paper_scale_fields(self):
         cfg = paper_scale(tiny_cfg())
