@@ -11,8 +11,16 @@ once on the base tree and once on this one (its working tree, uncommitted
 changes included); the side that goes first alternates from pair to pair,
 so a drift in machine speed falls on both sides alike.
 
-The record is written to `--out` under the key "W seed=N"; the entries of
-other workloads or seeds already in that file are kept. For each metric it
+On a straggler workload each pair also runs `bench/straggler_step.py` once
+on each side, right after that side's benchmark run, and records its
+microseconds per window per (preset, action) case the same way. Both
+sides must time the same events: if any case's `completed` count differs
+between the sides, the record says so and the script exits 1.
+
+The record is written to `--out` under the key "W seed=N", or "W seed=N
+null" when REV is this tree's HEAD and the working tree has no diff from
+it (both sides then run the same code, so the record is a noise floor);
+the entries of other keys already in that file are kept. For each metric it
 holds both sides' medians, the base's quartiles, the change's wins out of
 the pairs in which both runs succeeded (the direction comes from
 `BENCHMARK.json`), and the gap between the medians in units of the base's
@@ -67,6 +75,24 @@ def bench_once(tree, cmd):
     return {"result": result, "digest": pick("# digest "), "machine": pick("# git ")}
 
 
+def step_bench_once(tree):
+    """One run of `bench/straggler_step.py` in `tree` against that tree's
+    `src/`: {"<preset> <action>": (us per window, completed)}, or None if
+    it failed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, os.path.join("bench", "straggler_step.py")],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"# straggler_step in {tree} failed ({proc.returncode}): "
+              f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
+        return None
+    cases = {}
+    for line in proc.stdout.splitlines()[1:]:  # after the header
+        preset, action, us, completed = line.split()
+        cases[f"{preset} {action}"] = (float(us), int(completed))
+    return cases
+
+
 def quartiles(values):
     if len(values) < 2:
         return [values[0]] * 2 if values else [None, None]
@@ -74,16 +100,13 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
-def summarize(runs, better):
-    """Per-metric comparison of the paired runs."""
+def summarize(values, better):
+    """Per-metric comparison of paired runs. `values` holds one (base,
+    change) pair of {metric: value} dicts per pair, empty for a failed run."""
     metrics = {}
-    names = sorted({name for pair in runs for side in ("base", "change")
-                    if pair[side]["result"] for name in pair[side]["result"]["metrics"]})
+    names = sorted({name for pair in values for side in pair for name in side})
     for name in names:
-        value = lambda side: (side["result"]["metrics"][name]["value"]
-                              if side["result"] and name in side["result"]["metrics"]
-                              else None)
-        pairs = [(value(p["base"]), value(p["change"])) for p in runs]
+        pairs = [(b.get(name), c.get(name)) for b, c in values]
         base = [b for b, _ in pairs if b is not None]
         change = [c for _, c in pairs if c is not None]
         both = [(b, c) for b, c in pairs if b is not None and c is not None]
@@ -101,6 +124,31 @@ def summarize(runs, better):
                                           - entry["base_median"]) / (q3 - q1)
         metrics[name] = entry
     return metrics
+
+
+def metric_values(side):
+    """{metric: value} of one benchmark run, empty if it failed."""
+    result = side["result"]
+    return {n: m["value"] for n, m in result["metrics"].items()} if result else {}
+
+
+def step_summary(runs):
+    """The straggler_step cases of every pair, compared like the metrics,
+    and whether each case's `completed` count is the same on both sides."""
+    values, completed = [], {}
+    for r in runs:
+        pair = []
+        for side in ("base", "change"):
+            cases = r[side]["step"] or {}
+            pair.append({case: us for case, (us, _) in cases.items()})
+            for case, (_, n) in cases.items():
+                completed.setdefault(case, {"base": set(), "change": set()})[side].add(n)
+        values.append(tuple(pair))
+    return {"us_per_window": summarize(values, {}),
+            "completed": {case: {side: sorted(ns) for side, ns in sides.items()}
+                          for case, sides in completed.items()},
+            "completed_match": bool(completed) and all(
+                sides["base"] == sides["change"] for sides in completed.values())}
 
 
 def digest_of(line):
@@ -128,6 +176,7 @@ def main():
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     cmd = bench["command"] + ["--workload", args.workload, "--seed", str(args.seed),
                               "--trace", "0", "--seconds", str(bench["run_seconds"])]
+    step_bench = args.workload.startswith("straggler")
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     base_tree = os.path.join(tmp, "base")
     try:
@@ -140,6 +189,7 @@ def main():
             for side in order:
                 print(f"# pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)
                 pair[side] = bench_once(trees[side], cmd)
+                pair[side]["step"] = step_bench_once(trees[side]) if step_bench else None
             pair["first"] = order[0]
             runs.append(pair)
     finally:
@@ -150,9 +200,11 @@ def main():
 
     first = lambda side, key: next((r[side][key] for r in runs if r[side][key]), None)
     digests = {side: first(side, "digest") for side in ("base", "change")}
+    null = base_sha == change_sha and not diff
     record = {
         "command": " ".join(cmd),
         "pairs": args.pairs,
+        "null": null,
         "base": {"rev": args.base, "sha": base_sha},
         "change": {"sha": change_sha, "uncommitted_changes": bool(diff),
                    "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None},
@@ -168,13 +220,16 @@ def main():
                     "python": platform.python_version(), "cpus": os.cpu_count(),
                     "perfbench": {side: first(side, "machine")
                                   for side in ("base", "change")}},
-        "metrics": summarize(runs, better),
+        "metrics": summarize([(metric_values(r["base"]), metric_values(r["change"]))
+                              for r in runs], better),
     }
+    if step_bench:
+        record["straggler_step"] = step_summary(runs)
     book = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             book = json.load(fh)
-    book[f"{args.workload} seed={args.seed}"] = record
+    book[f"{args.workload} seed={args.seed}" + (" null" if null else "")] = record
     with open(args.out, "w") as fh:
         json.dump(book, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -183,8 +238,17 @@ def main():
         if m and m["base_median"] is not None and m["change_median"] is not None:
             print(f"{name}: base {m['base_median']:.4g} -> change "
                   f"{m['change_median']:.4g}, wins {m['wins']}/{m['of']}")
+    ok = all(all(c) for c in record["correct"].values())
+    if step_bench:
+        steps = record["straggler_step"]
+        for case, m in steps["us_per_window"].items():
+            if m["base_median"] is not None and m["change_median"] is not None:
+                print(f"straggler_step {case}: base {m['base_median']:.4g} -> change "
+                      f"{m['change_median']:.4g} us/window, wins {m['wins']}/{m['of']}")
+        print(f"straggler_step completed counts match: {steps['completed_match']}")
+        ok = ok and steps["completed_match"]
     print(f"digests match: {record['digests_match']}; written to {args.out}")
-    return 0 if all(all(c) for c in record["correct"].values()) else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

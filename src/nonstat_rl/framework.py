@@ -121,13 +121,17 @@ class GmmDetector:
         return -0.5 * ((diff**2 / variances[None]).sum(axis=2) + log_norm[None, :])
 
     def posterior(self, features):
+        """Component posterior of one feature row, or one posterior row per
+        row of a (windows, d) array; each row is the same either way."""
         if not self.fitted:
             raise UsageError("detector not fitted")
-        x = np.asarray(features, dtype=np.float64)[None, :]
-        log_post = (self._log_prob(x, self.means, self.variances, self._log_norm)[0]
+        x = np.asarray(features, dtype=np.float64)
+        rows = x if x.ndim == 2 else x[None, :]
+        log_post = (self._log_prob(rows, self.means, self.variances, self._log_norm)
                     + self._log_weights)
-        log_post -= _logsumexp(log_post[None, :])[0]
-        return np.exp(log_post)
+        log_post -= _logsumexp(log_post)[:, None]
+        post = np.exp(log_post)
+        return post if x.ndim == 2 else post[0]
 
     def classify(self, features, post=None):
         """Maximum-posterior component index, subject to dwell hysteresis.

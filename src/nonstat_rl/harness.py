@@ -577,6 +577,8 @@ class _Detector:
         # what every window of the epoch reports: the truth's one-hot, or
         # zeros before the GMM is fitted
         self.post = np.zeros(self.width)
+        self._windows = 0
+        self._features = []  # this epoch's windows, once the GMM is fitted
 
     def epoch_label(self, true_label):
         """The environment index used to route this epoch's experience."""
@@ -591,20 +593,31 @@ class _Detector:
         return self.reported
 
     def observe_window(self, source):
-        """Per-window detector update; returns (reported, posterior) to log.
-        Only the fitted GMM gives a window a posterior array of its own.
-        Only the GMM reads `source.workload_features()`."""
-        if self.mode == "truth":
-            return self.reported, self.post
-        features = source.workload_features()
-        if self.gmm.fitted:
-            post = self.gmm.posterior(features)
-            self.reported = self.gmm.classify(features, post=post)
-            if len(post) < self.width:  # a degenerate fit has one component
-                post = np.concatenate([post, np.zeros(self.width - len(post))])
-            return self.reported, post
-        self.history.append(np.asarray(features, dtype=np.float64))  # to fit on
-        return self.reported, self.post
+        """Note one window. Only the GMM reads `source.workload_features()`:
+        into the history it will be fitted on, or once fitted into this
+        epoch's windows, which `end_epoch` scores."""
+        self._windows += 1
+        if self.mode == "gmm":
+            features = np.asarray(source.workload_features(), dtype=np.float64)
+            (self._features if self.gmm.fitted else self.history).append(features)
+
+    def end_epoch(self):
+        """(posterior, reported) of each window observed since the last call,
+        in order. The fitted GMM scores them all in one posterior call and
+        then runs its dwell readout over the rows; otherwise every window
+        shares `self.post` and `self.reported`."""
+        n, self._windows = self._windows, 0
+        if not self._features:
+            return [(self.post, self.reported)] * n
+        features, self._features = self._features, []
+        posts = self.gmm.posterior(np.array(features))
+        if posts.shape[1] < self.width:  # a degenerate fit has one component
+            posts = np.pad(posts, ((0, 0), (0, self.width - posts.shape[1])))
+        rows = []
+        for x, post in zip(features, posts):
+            self.reported = self.gmm.classify(x, post=post)
+            rows.append((post, self.reported))
+        return rows
 
     def maybe_fit(self, epoch):
         if (self.mode == "gmm" and not self.gmm.fitted
@@ -620,14 +633,17 @@ def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=No
     `_Detector`) and route to its expert in `experts` (an ExpertManager),
     and record one `Epoch`. Per window: one `case.window` call, in which the
     case's safeguard or the expert (`act(rec, obs, act_rng)`) picks the
-    action and the environment steps; then the detector sees the window and
-    the training step `train` sees the transition. A frozen run
+    action and the environment steps; then the detector notes the window
+    and the training step `train` sees the transition. When the epoch ends,
+    a diverged run's partial last one included, the detector reads out every
+    window it noted at once (`detector.end_epoch()`: one posterior call for
+    a fitted GMM); the reported label routes the next epoch. A frozen run
     (`train=None`) never changes an expert and has nothing to converge:
     every epoch counts as post-convergence.
 
-    Given `write_epoch` (from `_epoch_writer`), each finished epoch, a
-    diverged run's partial last one included, is passed to it with its
-    per-window detection rows, which are then dropped.
+    Given `write_epoch` (from `_epoch_writer`), each finished epoch is
+    passed to it with its window rows and their detections, which are then
+    dropped.
     """
     scenario = cfg.scenario
     windows = []
@@ -645,9 +661,9 @@ def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=No
             for w in range(cfg.episode_len):
                 action, controller, reward, next_obs, done = case.window(
                     lambda: act(rec, obs, act_rng))
-                detected, post = detector.observe_window(case)
+                detector.observe_window(case)
                 if write_epoch is not None:
-                    windows.append((case.clock_ms(), post, detected, controller))
+                    windows.append((case.clock_ms(), controller))
                 agent = controller == "agent"
                 if not agent:
                     default_windows += 1
@@ -659,6 +675,7 @@ def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=No
                 n_steps = train.end_epoch(rec, obs)
         except DivergenceError:
             s.diverged = True
+        detections = detector.end_epoch()
 
         if train is not None:
             experts.note_epoch()
@@ -670,7 +687,7 @@ def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=No
         ep = Epoch(wkey, label, *case.end_epoch(), n_steps, default_windows)
         s.epochs.append(ep)
         if write_epoch is not None:
-            write_epoch(epoch, ep, windows)
+            write_epoch(epoch, ep, windows, detections)
             windows.clear()
         if s.diverged:
             break
@@ -763,9 +780,10 @@ def _write_config(cfg):
 @contextlib.contextmanager
 def _epoch_writer(cfg, width):
     """Open `timeseries.csv` and `detections.csv` in `cfg.out_dir` and yield
-    `write(epoch, ep, windows)`, which writes the `Epoch` row `ep` and its
-    (t_ms, posterior of `width`, reported, controller) window rows and
-    flushes both files, so a run stopped after k epochs leaves k epochs."""
+    `write(epoch, ep, windows, detections)`, which writes the `Epoch` row
+    `ep` and one row per (t_ms, controller) window with its (posterior of
+    `width`, reported) detection, and flushes both files, so a run stopped
+    after k epochs leaves k epochs."""
     out = cfg.out_dir
     with open(os.path.join(out, "timeseries.csv"), "w", newline="") as ts_fh, \
             open(os.path.join(out, "detections.csv"), "w", newline="") as det_fh:
@@ -776,12 +794,12 @@ def _epoch_writer(cfg, width):
                      + ["reported", "controller"])
         epoch_ms = _CASES[cfg.env].step_ms * cfg.episode_len
 
-        def write(e, ep, windows):
+        def write(e, ep, windows, detections):
             ctl = "default" if ep.default_windows > cfg.episode_len // 2 else "agent"
             ts.writerow([e, _fmt(e * epoch_ms), ep.workload, ep.label, ctl,
                          _fmt(ep.metric) if ep.metric is not None else ""])
             last = cells = None
-            for t, post, reported, controller in windows:
+            for (t, controller), (post, reported) in zip(windows, detections):
                 if post is not last:  # windows share one array until a GMM fit
                     cells, last = [_fmt(p) for p in post.tolist()], post
                 det.writerow([_fmt(t), *cells, reported, controller])

@@ -374,6 +374,9 @@ class StragglerSim:
                             sib.state = 2
                             if log:
                                 log((t, "cancel", job.jid, s2, ""))
+                    # nothing reads a done job's copies: dropping them breaks
+                    # the job <-> copy cycle, so reference counting frees both
+                    job.copies = None
                 elif log:
                     log((t, "sibling_done", job.jid, s, ""))
                 if latch and max(qlen) <= safe:

@@ -44,7 +44,8 @@ class TestGmmFit:
     @given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_refit_same_data_same_seed_identical(self, k, seed, data):
         """Two fits on the same data with the same seed agree bit for bit,
-        and so do their readouts over the same stream."""
+        and so do their readouts over the same stream, row by row or from
+        one batched posterior call."""
         n_true = data.draw(st.integers(1, 4), label="clusters in the data")
         centres = data.draw(hnp.arrays(np.float64, (n_true, 2),
                                        elements=st.floats(-1e3, 1e3)), label="centres")
@@ -57,7 +58,13 @@ class TestGmmFit:
         assert np.array_equal(d1.means, d2.means)
         assert np.array_equal(d1.variances, d2.variances)
         assert np.array_equal(d1.weights, d2.weights)
-        assert [d1.classify(row) for row in x] == [d2.classify(row) for row in x]
+        readout = [d1.classify(row) for row in x]
+        assert readout == [d2.classify(row) for row in x]
+        batched = d1.posterior(x)
+        assert batched.shape == (n, d1.means.shape[0])
+        assert batched.tobytes() == np.array([d2.posterior(row) for row in x]).tobytes()
+        d1._reset_readout()
+        assert [d1.classify(row, post=post) for row, post in zip(x, batched)] == readout
 
     def test_history_too_short_is_error(self):
         with pytest.raises(ConfigError):

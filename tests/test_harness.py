@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nonstat_rl.abr import AbrEnv
-from nonstat_rl.errors import ConfigError
+from nonstat_rl.errors import ConfigError, DivergenceError
 from nonstat_rl.framework import ExpertManager
 from nonstat_rl.harness import (ExperimentConfig, RunSummary, Scenario,
                                 abr_defaults, aggregate_boxstats,
@@ -192,10 +192,36 @@ class TestEpochByEpochArtifacts:
             assert stopped.count(b"\n") == 1 + rows, name
             assert (tmp_path / "full" / name).read_bytes().startswith(stopped), name
 
+    def test_run_diverged_mid_epoch_writes_a_detection_row_per_window(
+            self, tmp_path, monkeypatch):
+        # the GMM is fitted from epoch 3 on; the run diverges in window 5 of
+        # epoch 4, after the detector has noted that window
+        from nonstat_rl import harness
+        cfg = tiny_cfg(scenario=scenario_cyclic(t_sw=3, keys=("A", "C"), cycles=1),
+                       detector="gmm", detector_warmup_epochs=2)
+        run_experiment(replace(cfg, out_dir=str(tmp_path / "full")))
+
+        ran = 4 * cfg.episode_len + 6
+        calls, window = [], harness._A2c.window
+
+        def diverge(self, *args):
+            calls.append(None)
+            if len(calls) == ran:
+                raise DivergenceError("forced")
+            return window(self, *args)
+
+        monkeypatch.setattr(harness._A2c, "window", diverge)
+        s = run_experiment(replace(cfg, out_dir=str(tmp_path / "diverged")))
+        assert s.diverged and len(s.epochs) == 5
+        diverged = (tmp_path / "diverged" / "detections.csv").read_bytes()
+        assert diverged.count(b"\n") == 1 + ran
+        assert (tmp_path / "full" / "detections.csv").read_bytes().startswith(diverged)
+        with open(tmp_path / "diverged" / "detections.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows[-6:]:  # the partial epoch's windows, read out by the fit
+            assert float(row["posterior_0"]) + float(row["posterior_1"]) > 0.99
+
     def test_memory_does_not_grow_with_run_length(self, tmp_path):
-        # The simulator's job/copy reference cycles wait for the cyclic
-        # collector; with everything older frozen and a full collection
-        # every 100 allocations, the peak is the run's live memory.
         def peak(epochs):
             cfg = tiny_cfg(scenario=scenario_stationary("A", epochs), t_c=2,
                            episode_len=48, entropy_epochs=2,
@@ -209,16 +235,7 @@ class TestEpochByEpochArtifacts:
                 tracemalloc.stop()
 
         peak(2)  # warm-up: first-use allocations
-        thresholds = gc.get_threshold()
-        gc.collect()
-        gc.freeze()
-        gc.set_threshold(100, 1, 1)
-        try:
-            short = peak(2)
-            growth = peak(34) - short
-        finally:
-            gc.set_threshold(*thresholds)
-            gc.unfreeze()
+        growth = peak(34) - peak(2)
         # 32 more epochs of 48 windows; keeping every window's detection row
         # until the run ends costs about 120 B a window here (about 180 KB)
         assert growth < 48_000
@@ -418,7 +435,8 @@ class TestDetectorModes:
         det = _Detector(cfg, len(scenario.keys), np.random.default_rng(0))
         for _ in range(20):
             label = det.epoch_label(0)
-            reported, post = det.observe_window(None)
+            det.observe_window(None)
+            [(post, reported)] = det.end_epoch()
             assert reported == label < width == det.width == len(post)
             assert post[label] == 1.0 == post.sum()
 
@@ -427,11 +445,13 @@ class TestDetectorModes:
         det = _Detector(tiny_cfg(detector="gmm"), 3, None)
         constant = SimpleNamespace(workload_features=lambda: np.array([5.0, 1.0]))
         for _ in range(30):
-            assert len(det.observe_window(constant)[1]) == 3
+            det.observe_window(constant)
+        assert [len(post) for post, _ in det.end_epoch()] == [3] * 30
         with pytest.warns(UserWarning, match="degenerate"):
             det.maybe_fit(det.cfg.detector_warmup_epochs)
         assert det.gmm.degenerate
-        reported, post = det.observe_window(constant)
+        det.observe_window(constant)
+        [(post, reported)] = det.end_epoch()
         assert reported == 0 and list(post) == [1.0, 0.0, 0.0]
 
     def test_paper_scale_fields(self):

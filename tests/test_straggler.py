@@ -2,6 +2,7 @@
 rules, slowdown draws, percentile metrics, and conservation/causality
 invariants."""
 
+import gc
 import math
 
 import numpy as np
@@ -187,6 +188,21 @@ class TestInvariants:
         sim.drain()
         assert sim.completed_total == sim.arrived_total
         assert res.stats["latencies"] == latencies
+
+    def test_finished_jobs_are_freed_without_the_cycle_collector(self):
+        # a completed job and its copies form no reference cycle, so
+        # reference counting frees them as the simulator lets them go
+        gc.collect()
+        gc.disable()
+        try:
+            sim = StragglerSim(WORKLOAD_PRESETS["C"], seed=3)
+            for _ in range(40):
+                sim.step(0)  # 3 ms hedge timeout: most jobs get a second copy
+            sim.drain()
+            assert sim.hedges_total > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_hedging_helps_inflated_singleton_jobs(self):
         # light load: a lone job per window; hedging can only help the tail
