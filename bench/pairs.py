@@ -3,12 +3,15 @@
     python3 bench/pairs.py --base REV --workload W --seed N --pairs K \
         [--out BENCH.json]
 
-Run it from a git checkout. REV is checked out into a temporary
-`git worktree`, which is removed on every exit path. Each pair runs the
-benchmark command of this tree's `BENCHMARK.json` with
+Run it from a git checkout. Both sides run from fresh temporary
+`git worktree`s, which are removed on every exit path: REV for the base,
+and for the change a temporary commit of this working tree (uncommitted
+and untracked, non-ignored files included) on top of HEAD, made through a
+temporary index so that neither the index nor HEAD moves. So neither side
+runs in this tree, with its `.perfbench-out/` and `__pycache__` history.
+Each pair runs the benchmark command of this tree's `BENCHMARK.json` with
 `--workload W --seed N --trace 0 --seconds S`, S being its `run_seconds`,
-once on the base tree and once on this one (its working tree, uncommitted
-changes included); the side that goes first alternates from pair to pair,
+once on each side; the side that goes first alternates from pair to pair,
 so a drift in machine speed falls on both sides alike.
 
 On a straggler workload each pair also runs `bench/straggler_step.py` once
@@ -18,17 +21,18 @@ sides must time the same events: if any case's `completed` count differs
 between the sides, the record says so and the script exits 1.
 
 The record is written to `--out` under the key "W seed=N", or "W seed=N
-null" when REV is this tree's HEAD and the working tree has no diff from
-it (both sides then run the same code, so the record is a noise floor);
-the entries of other keys already in that file are kept. For each metric it
-holds both sides' medians, the base's quartiles, the change's wins out of
-the pairs in which both runs succeeded (the direction comes from
-`BENCHMARK.json`), and the gap between the medians in units of the base's
-interquartile range. It also holds every run's `attempted` count, both
-sides' `# digest` lines and whether they match, both commits and the
-machine; the change side is named by its commit and, when the working
-tree differs from it, the sha256 of `git diff HEAD --binary` (tracked
-files only). Standard library only.
+null" when REV is this tree's HEAD and the working tree, untracked files
+included, is the same as HEAD (both sides then run the same code, so the
+record is a noise floor); the entries of other keys already in that file
+are kept. For each metric it holds both sides' medians, the base's
+quartiles, the change's wins out of the pairs in which both runs
+succeeded (the direction comes from `BENCHMARK.json`), and the gap between
+the medians in units of the base's interquartile range. It also holds
+every run's `attempted` count, both sides' `# digest` lines and whether
+they match, both commits and the machine; the change side is named by
+HEAD and, when the working tree differs from it, the sha256 of the binary
+diff from HEAD to the temporary commit (untracked files included).
+Standard library only.
 """
 
 import argparse
@@ -46,9 +50,23 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def git(*args, env=None):
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def snapshot(index):
+    """A commit of the working tree, untracked non-ignored files included,
+    whose parent is HEAD. It is built in the temporary index file `index`,
+    so the real index and HEAD do not move."""
+    env = dict(os.environ, GIT_INDEX_FILE=index,
+               GIT_AUTHOR_NAME="bench-pairs", GIT_AUTHOR_EMAIL="bench-pairs@localhost",
+               GIT_COMMITTER_NAME="bench-pairs", GIT_COMMITTER_EMAIL="bench-pairs@localhost")
+    git("read-tree", "HEAD", env=env)
+    git("add", "-A", env=env)
+    tree = git("write-tree", env=env)
+    return git("commit-tree", "-p", "HEAD", "-m", "bench/pairs.py working tree", tree,
+               env=env)
 
 
 def declared_benchmark():
@@ -165,23 +183,24 @@ def main():
     args = p.parse_args()
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
-    # On SIGTERM, unwind through the finally below, which removes the worktree.
+    # On SIGTERM, unwind through the finally below, which removes the worktrees.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     base_sha = git("rev-parse", "--verify", args.base + "^{commit}")
     change_sha = git("rev-parse", "HEAD")
-    diff = subprocess.run(["git", "diff", "HEAD", "--binary"], cwd=ROOT, check=True,
-                          capture_output=True).stdout
     bench = declared_benchmark()
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     cmd = bench["command"] + ["--workload", args.workload, "--seed", str(args.seed),
                               "--trace", "0", "--seconds", str(bench["run_seconds"])]
     step_bench = args.workload.startswith("straggler")
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
-    base_tree = os.path.join(tmp, "base")
+    trees = {side: os.path.join(tmp, side) for side in ("base", "change")}
     try:
-        git("worktree", "add", "--detach", base_tree, base_sha)
-        trees = {"base": base_tree, "change": ROOT}
+        work_sha = snapshot(os.path.join(tmp, "index"))
+        diff = subprocess.run(["git", "diff", "--binary", change_sha, work_sha], cwd=ROOT,
+                              check=True, capture_output=True).stdout
+        for side, sha in (("base", base_sha), ("change", work_sha)):
+            git("worktree", "add", "--detach", trees[side], sha)
         runs = []
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -193,8 +212,9 @@ def main():
             pair["first"] = order[0]
             runs.append(pair)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", base_tree], cwd=ROOT,
-                       capture_output=True)
+        for tree in trees.values():
+            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT,
+                           capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
