@@ -116,10 +116,12 @@ class RewardScaler:
         bisect.insort(self._samples.setdefault(env_index, []), abs(float(reward)))
 
     def freeze(self, env_index):
-        """Pin the environment's scale at the median absolute reward."""
+        """Pin the environment's scale at the median absolute reward and
+        drop its samples, which nothing reads again."""
         if env_index in self._frozen:
             return
         self._frozen[env_index] = self._estimate(env_index)
+        self._samples.pop(env_index, None)
 
     def _estimate(self, env_index):
         samples = self._samples.get(env_index)

@@ -522,12 +522,9 @@ class _Dqn:
         return rec.learner.act(obs, rng, schedule_epoch=rec.exploration_epochs)
 
     def __init__(self, cfg, rng):
-        sizes = {"large": dict(capacity=cfg.buffer_capacity),
-                 "small": dict(capacity=cfg.small_capacity),
-                 "ltst": dict(long_capacity=cfg.ltst_long_capacity,
-                              short_capacity=cfg.small_capacity),
-                 "multi": dict(capacity_each=cfg.buffer_capacity)}
-        self.buffer = make_buffer(cfg.buffer, **sizes[cfg.buffer])
+        self.buffer = make_buffer(cfg.buffer, buffer_capacity=cfg.buffer_capacity,
+                                  small_capacity=cfg.small_capacity,
+                                  ltst_long_capacity=cfg.ltst_long_capacity)
         self.scaler = RewardScaler()
         self.rng = rng
         self.train_every = cfg.train_every

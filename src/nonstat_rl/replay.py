@@ -1,16 +1,19 @@
-"""Experience tuples, sampled batches and the four replay-buffer strategies.
+"""Experience tuples, sampled batches and the one replay buffer behind the
+four replay strategies.
 
-All constituent buffers are FIFO rings; sampling is uniform with
-replacement within a ring. The strategies differ in how rings are
-combined:
+A `ReplayBuffer` is a set of FIFO rings with one insert rule and one
+sampler. A row goes either into every ring or into the ring of its
+environment index, created on first sight. A batch is split equally over
+the non-empty rings in key order, the remainder going one row each to the
+first rings, and sampling is uniform with replacement within a ring. The
+strategies differ only in their rings (`make_buffer`):
 
 * ``large``  -- one ring big enough to effectively keep everything
-* ``small``  -- the same single ring, sized (``small_capacity``) to keep
-  only recent experience
-* ``ltst``   -- long-term + short-term rings, inserted into both and
-  sampled half/half
-* ``multi``  -- one ring per environment index, created on first sight
-  and sampled in equal shares
+* ``small``  -- one ring sized (``small_capacity``) to keep only recent
+  experience
+* ``ltst``   -- long-term + short-term rings that both get every row,
+  so a batch is half from each, the odd row from the long ring
+* ``multi``  -- one ring per environment index, sampled in equal shares
 
 A ring is a column store: one float64 row per experience, laid out as
 ``[state | next_state | action, reward, done, env_index]``. Sampling
@@ -112,8 +115,6 @@ class Ring:
         (k, width) array, new if not given) and returned."""
         if not self._len:
             raise UsageError("sampling from an empty buffer")
-        if out is None:
-            out = np.empty((k, self.rows.shape[1]))
         # the indices are in range by construction; mode="clip" spares np.take
         # the buffered copy it makes under the default mode="raise"
         return np.take(self.rows, rng.integers(0, self._len, size=k), axis=0,
@@ -129,98 +130,59 @@ class Ring:
         return np.concatenate((self.rows[self._next:self._len], self.rows[:self._next]))
 
 
-def _draw(draws, rng):
-    """One Batch of k rows from each non-empty (ring, k) in turn, drawn
-    straight into one matrix."""
-    out = np.empty((sum(k for _, k in draws), draws[0][0].rows.shape[1]))
-    lo = 0
-    for ring, k in draws:
-        ring.sample(k, rng, out[lo:lo + k])
-        lo += k
-    return Batch.from_rows(out)
+class ReplayBuffer:
+    """Rings keyed by int: with `capacities`, rings 0, 1, ... that every row
+    goes into; with `capacity_each` instead, one ring per environment index.
 
-
-class LargeBuffer:
-    """One ring; ``large`` and ``small`` differ only in its capacity."""
-
-    def __init__(self, capacity=1_000_000):
-        self.ring = Ring(capacity)
-
-    def insert(self, exp):
-        self.ring.append(exp.row())
-
-    def sample(self, batch, rng):
-        return Batch.from_rows(self.ring.sample(batch, rng))
-
-    def __len__(self):
-        return len(self.ring)
-
-
-class LongTermShortTermBuffer:
-    """Insert into both rings; draw half of every batch from each.
-
-    Both rings receive every insert, so they are empty or non-empty
-    together. Odd batch sizes give the extra sample to the long ring.
+    `len` is the number of experiences held: the first ring's length when
+    every ring gets every row, the sum over the rings otherwise.
     """
 
-    def __init__(self, long_capacity=1_000_000, short_capacity=10_000):
-        self.long = Ring(long_capacity)
-        self.short = Ring(short_capacity)
+    def __init__(self, capacities=(), capacity_each=None):
+        self.rings = {key: Ring(c) for key, c in enumerate(capacities)}
+        self.capacity_each = capacity_each
 
     def insert(self, exp):
         row = exp.row()
-        self.long.append(row)
-        self.short.append(row)
-
-    def sample(self, batch, rng):
-        if len(self.long) == 0:
-            raise UsageError("sampling from an empty buffer")
-        return _draw([(self.long, batch - batch // 2), (self.short, batch // 2)], rng)
-
-    def __len__(self):
-        return len(self.long)
-
-
-class MultiBuffer:
-    """One ring per environment index, sampled in equal shares.
-
-    The batch remainder is spread round-robin over the lowest environment
-    indices so the split is deterministic.
-    """
-
-    def __init__(self, capacity_each=1_000_000):
-        self.capacity_each = capacity_each
-        self.rings = {}
-
-    def insert(self, exp):
+        if self.capacity_each is None:
+            for ring in self.rings.values():
+                ring.append(row)
+            return
         ring = self.rings.get(exp.env_index)
         if ring is None:
             ring = self.rings[exp.env_index] = Ring(self.capacity_each)
-        ring.append(exp.row())
+        ring.append(row)
 
     def sample(self, batch, rng):
-        live = sorted(idx for idx, ring in self.rings.items() if len(ring))
+        live = [ring for _, ring in sorted(self.rings.items()) if len(ring)]
         if not live:
             raise UsageError("sampling from an empty buffer")
         base, extra = divmod(batch, len(live))
+        out = np.empty((batch, live[0].rows.shape[1]))
+        lo = 0
         # rings past the first `batch` would get a share of 0: draw nothing there
-        return _draw([(self.rings[idx], base + (1 if pos < extra else 0))
-                      for pos, idx in enumerate(live[:batch])], rng)
+        for pos, ring in enumerate(live[:batch]):
+            k = base + (pos < extra)
+            ring.sample(k, rng, out[lo:lo + k])
+            lo += k
+        return Batch.from_rows(out)
 
     def __len__(self):
+        if self.capacity_each is None:
+            return len(self.rings[0])
         return sum(len(r) for r in self.rings.values())
 
 
-STRATEGIES = {
-    "large": LargeBuffer,
-    "small": LargeBuffer,
-    "ltst": LongTermShortTermBuffer,
-    "multi": MultiBuffer,
-}
+STRATEGIES = dict.fromkeys(("large", "small", "ltst", "multi"), ReplayBuffer)
 
 
-def make_buffer(name, **kwargs):
-    try:
-        return STRATEGIES[name](**kwargs)
-    except KeyError:
-        raise ConfigError(f"unknown buffer strategy {name!r}") from None
+def make_buffer(name, buffer_capacity=1_000_000, small_capacity=2_000,
+                ltst_long_capacity=8_000):
+    """The buffer of strategy `name`, its rings sized from the capacities of
+    the same names in `ExperimentConfig`."""
+    if name not in STRATEGIES:
+        raise ConfigError(f"unknown buffer strategy {name!r}")
+    if name == "multi":
+        return ReplayBuffer(capacity_each=buffer_capacity)
+    return ReplayBuffer({"large": (buffer_capacity,), "small": (small_capacity,),
+                         "ltst": (ltst_long_capacity, small_capacity)}[name])

@@ -197,7 +197,6 @@ class StragglerSim:
         self.load_last = 0.0
         self.prev_reward = 0.0
         self.last_window_max_queue = 0
-        self._arrivals_on = True
         self._window_timeout = math.inf
         self._seq += 1  # the first arrival; each arrival schedules the next
         heappush(self.heap, (self._arrival_gap(0.0), self._seq, 0, None))
@@ -205,9 +204,6 @@ class StragglerSim:
 
     def set_workload(self, workload):
         self.workload = workload
-
-    def stop_arrivals(self):
-        self._arrivals_on = False
 
     # -- internals ----------------------------------------------------------
     def _arrival_gap(self, t):
@@ -271,7 +267,6 @@ class StragglerSim:
         gap, dispatch, service_time = self._arrival_gap, self.dispatch, self.draw_service_time
         log = self.event_log.append if self.keep_event_log else None
         guard, unsafe, safe = self.safeguard_enabled, self.unsafe_queue, self.safe_queue
-        poisson = self._arrivals_on
         timeout = self._window_timeout
         hedging = timeout != math.inf
         seq, jid, latch, now = self._seq, self._jid, self.latch, self.now
@@ -291,9 +286,8 @@ class StragglerSim:
                     if not arrivals:
                         continue
                     if item is None:
-                        if poisson:
-                            seq += 1
-                            push(heap, (t + gap(t), seq, 0, None))
+                        seq += 1
+                        push(heap, (t + gap(t), seq, 0, None))
                         item = lognormvariate(mu, sigma)
                     jid += 1
                     job = _Job(jid, t, item)
@@ -456,7 +450,6 @@ class StragglerSim:
         return np.array([sum(rates) / len(rates), sum(procs) / len(procs)])
 
     def drain(self):
-        """Stop arrivals and run until every job has completed."""
-        self.stop_arrivals()
+        """Drop arrivals and run until every job has completed."""
         self._run(self.now + 10_000_000.0, arrivals=False)
 

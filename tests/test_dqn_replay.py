@@ -140,7 +140,7 @@ class TestChainMdpOracle:
         qnet = Mlp([3, 24, 2], rng=np.random.default_rng(8))
         learner = DqnLearner(qnet, gamma=self.GAMMA, lr=0.003, polyak_alpha=0.05,
                              batch_size=32, weight_decay=0.0)
-        buffer = make_buffer("large", capacity=50_000)
+        buffer = make_buffer("large", buffer_capacity=50_000)
         onehot = np.eye(3)
         s = 0
         for step in range(12_000):
@@ -160,7 +160,7 @@ class TestChainMdpOracle:
 
     def test_empty_buffer_skips_with_none(self):
         learner = DqnLearner(Mlp([3, 4, 2]), gamma=0.9)
-        assert learner.train_from(make_buffer("small", capacity=4),
+        assert learner.train_from(make_buffer("small", small_capacity=4),
                                   np.random.default_rng(0)) is None
 
 
@@ -170,11 +170,11 @@ def rows(*exps):
 
 class TestBuffers:
     def test_small_ring_fifo(self):
-        buf = make_buffer("small", capacity=2)
+        buf = make_buffer("small", small_capacity=2)
         e1, e2, e3 = exp(1), exp(2), exp(3)
         for e in (e1, e2, e3):
             buf.insert(e)
-        assert np.array_equal(buf.ring.contents(), rows(e2, e3))
+        assert np.array_equal(buf.rings[0].contents(), rows(e2, e3))
 
     def test_multi_buffer_per_env_rings(self):
         buf = make_buffer("multi")
@@ -183,15 +183,15 @@ class TestBuffers:
         assert len(buf.rings[0]) == 2 and len(buf.rings[1]) == 1
 
     def test_ltst_insert_both(self):
-        buf = make_buffer("ltst", long_capacity=10, short_capacity=2)
+        buf = make_buffer("ltst", ltst_long_capacity=10, small_capacity=2)
         items = [exp(i) for i in range(5)]
         for e in items:
             buf.insert(e)
-        assert np.array_equal(buf.long.contents(), rows(*items))
-        assert np.array_equal(buf.short.contents(), rows(*items[-2:]))
+        assert np.array_equal(buf.rings[0].contents(), rows(*items))
+        assert np.array_equal(buf.rings[1].contents(), rows(*items[-2:]))
 
     def test_ltst_samples_half_from_each(self):
-        buf = make_buffer("ltst", long_capacity=10, short_capacity=2)
+        buf = make_buffer("ltst", ltst_long_capacity=10, small_capacity=2)
         items = [exp(i) for i in range(5)]
         for e in items:
             buf.insert(e)
@@ -220,7 +220,7 @@ class TestBuffers:
         assert counts == {0: 3, 1: 3, 2: 2}
 
     def test_single_element_sampled_with_replacement(self):
-        buf = make_buffer("large", capacity=10)
+        buf = make_buffer("large", buffer_capacity=10)
         e = exp(0, reward=1.5, action=2, done=True)
         buf.insert(e)
         batch = buf.sample(4, np.random.default_rng(4))
@@ -237,7 +237,7 @@ class TestBuffers:
                 make_buffer(name).sample(4, np.random.default_rng(0))
 
     def test_uniform_sampling_chi_square(self):
-        buf = make_buffer("small", capacity=10)
+        buf = make_buffer("small", small_capacity=10)
         for i in range(10):
             buf.insert(exp(i, reward=float(i)))
         rng = np.random.default_rng(5)
@@ -247,7 +247,7 @@ class TestBuffers:
         assert chi2 < 27.88  # chi-square df=9 at the 0.1% level
 
     def test_batch_columns_view_one_matrix(self):
-        buf = make_buffer("ltst", long_capacity=10, short_capacity=4)
+        buf = make_buffer("ltst", ltst_long_capacity=10, small_capacity=4)
         for i in range(6):
             buf.insert(exp(i))
         batch = buf.sample(8, np.random.default_rng(6))
@@ -258,19 +258,19 @@ class TestBuffers:
         assert batch.actions.dtype == np.intp and batch.env_index.dtype == np.intp
 
     def test_storage_grows_geometrically_not_to_capacity(self):
-        buf = make_buffer("large", capacity=1_000_000)
+        buf = make_buffer("large", buffer_capacity=1_000_000)
         sizes = []
         for i in range(300):
             buf.insert(exp(i))
-            sizes.append(len(buf.ring.rows))
+            sizes.append(len(buf.rings[0].rows))
         assert sorted(set(sizes)) == [64, 128, 256, 512]
 
     def test_storage_growth_capped_at_capacity(self):
-        buf = make_buffer("small", capacity=100)
+        buf = make_buffer("small", small_capacity=100)
         for i in range(250):
             buf.insert(exp(i))
-        assert buf.ring.rows.shape == (100, 1 + 1 + 4)
-        assert buf.ring.contents()[:, 0].tolist() == list(range(150, 250))
+        assert buf.rings[0].rows.shape == (100, 1 + 1 + 4)
+        assert buf.rings[0].contents()[:, 0].tolist() == list(range(150, 250))
 
 
 class TestRewardScaler:
@@ -301,6 +301,16 @@ class TestRewardScaler:
         for _ in range(50):
             sc.observe(0, -1e6)
         assert sc.scale_of(0) == before
+
+    def test_freeze_drops_the_calibration_samples(self):
+        sc = RewardScaler()
+        for r in (-3.0, -100.0, -7.0, -0.5):
+            sc.observe(0, r)
+            sc.observe(1, r)
+        before = sc.scale_of(0)
+        sc.freeze(0)
+        assert sc.scale_of(0) == before
+        assert 0 not in sc._samples and 1 in sc._samples  # only the frozen label's
 
     def test_calibration_median_within_band(self):
         sc = RewardScaler()

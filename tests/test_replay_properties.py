@@ -73,22 +73,28 @@ def test_row_ring_matches_list_ring(capacity, n, k, seed):
             assert np.array_equal(got, as_rows(want))
 
 
-@SETTINGS
-@given(long_cap=st.integers(1, 200), short_cap=st.integers(1, 80),
+@settings(max_examples=180, deadline=None)  # 60 per strategy on average
+@given(strategy=st.sampled_from(["large", "small", "ltst"]),
+       long_cap=st.integers(1, 200), short_cap=st.integers(1, 80),
        n=st.integers(1, 400), batch=st.integers(1, 65), seed=st.integers(0, 2**32 - 1))
-def test_ltst_matches_list_rings(long_cap, short_cap, n, batch, seed):
-    buf = make_buffer("ltst", long_capacity=long_cap, short_capacity=short_cap)
-    long_ref, short_ref = ListRing(long_cap), ListRing(short_cap)
+def test_large_small_ltst_match_list_rings(strategy, long_cap, short_cap, n, batch, seed):
+    # large and small are one ring that gets the whole batch; ltst draws the
+    # long ring's half (with the odd row) first, then the short ring's
+    buf = make_buffer(strategy, buffer_capacity=long_cap, ltst_long_capacity=long_cap,
+                      small_capacity=short_cap)
+    shares = {"large": [(long_cap, batch)], "small": [(short_cap, batch)],
+              "ltst": [(long_cap, batch - batch // 2), (short_cap, batch // 2)]}[strategy]
+    refs = [(ListRing(cap), k) for cap, k in shares]
     for i in range(n):
         e = experience(i)
         buf.insert(e)
-        long_ref.append(e)
-        short_ref.append(e)
+        for ref, _ in refs:
+            ref.append(e)
+    assert len(buf) == len(refs[0][0].items)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):  # the second draw checks the RNG stream stayed aligned
         got = buf.sample(batch, rng_a)
-        want = (long_ref.sample(batch - batch // 2, rng_b)
-                + short_ref.sample(batch // 2, rng_b))
+        want = [item for ref, k in refs for item in ref.sample(k, rng_b)]
         assert np.array_equal(batch_rows(got), as_rows(want))
 
 
@@ -97,7 +103,7 @@ def test_ltst_matches_list_rings(long_cap, short_cap, n, batch, seed):
        capacity=st.integers(1, 90), batch=st.integers(1, 65),
        seed=st.integers(0, 2**32 - 1))
 def test_multi_matches_list_rings(envs, capacity, batch, seed):
-    buf = make_buffer("multi", capacity_each=capacity)
+    buf = make_buffer("multi", buffer_capacity=capacity)
     refs = {}
     for i, env in enumerate(envs):
         e = experience(i, env=env)
@@ -121,10 +127,10 @@ def test_multi_matches_list_rings(envs, capacity, batch, seed):
 def test_ltst_draws_the_odd_row_from_the_long_ring(batch, n, seed):
     # each ring holds rows tagged with its own env_index, so the column
     # tells which ring a sampled row came from
-    buf = make_buffer("ltst", long_capacity=50, short_capacity=50)
+    buf = make_buffer("ltst", ltst_long_capacity=50, small_capacity=50)
     for i in range(n):
-        buf.long.append(experience(i, env=0).row())
-        buf.short.append(experience(i, env=1).row())
+        buf.rings[0].append(experience(i, env=0).row())
+        buf.rings[1].append(experience(i, env=1).row())
     got = buf.sample(batch, np.random.default_rng(seed)).env_index
     n_long, n_short = int(np.sum(got == 0)), int(np.sum(got == 1))
     assert n_long + n_short == batch
@@ -135,7 +141,7 @@ def test_ltst_draws_the_odd_row_from_the_long_ring(batch, n, seed):
 @given(envs=st.lists(st.integers(0, 15), min_size=1, max_size=200),
        batch=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_multi_splits_the_batch_evenly_lowest_indices_first(envs, batch, seed):
-    buf = make_buffer("multi", capacity_each=30)
+    buf = make_buffer("multi", buffer_capacity=30)
     for i, env in enumerate(envs):
         buf.insert(experience(i, env=env))
     got = buf.sample(batch, np.random.default_rng(seed)).env_index

@@ -19,7 +19,6 @@ def quiet_sim(n_servers=2, slowdown_prob=0.0, **kw):
     """A simulator with no stochastic arrivals; jobs are injected by hand."""
     sim = StragglerSim(WORKLOAD_PRESETS["A"], n_servers=n_servers,
                        slowdown_prob=slowdown_prob, **kw)
-    sim.stop_arrivals()
     sim.heap.clear()
     return sim
 
