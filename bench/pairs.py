@@ -14,12 +14,6 @@ Each pair runs the benchmark command of this tree's `BENCHMARK.json` with
 once on each side; the side that goes first alternates from pair to pair,
 so a drift in machine speed falls on both sides alike.
 
-On a straggler workload each pair also runs `bench/straggler_step.py` once
-on each side, right after that side's benchmark run, and records its
-microseconds per window per (preset, action) case the same way. Both
-sides must time the same events: if any case's `completed` count differs
-between the sides, the record says so and the script exits 1.
-
 The record is written to `--out` under the key "W seed=N", or "W seed=N
 null" when REV is this tree's HEAD and the working tree, untracked files
 included, is the same as HEAD (both sides then run the same code, so the
@@ -93,24 +87,6 @@ def bench_once(tree, cmd):
     return {"result": result, "digest": pick("# digest "), "machine": pick("# git ")}
 
 
-def step_bench_once(tree):
-    """One run of `bench/straggler_step.py` in `tree` against that tree's
-    `src/`: {"<preset> <action>": (us per window, completed)}, or None if
-    it failed."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    proc = subprocess.run([sys.executable, os.path.join("bench", "straggler_step.py")],
-                          cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        print(f"# straggler_step in {tree} failed ({proc.returncode}): "
-              f"{proc.stderr.strip()[-500:]}", file=sys.stderr)
-        return None
-    cases = {}
-    for line in proc.stdout.splitlines()[1:]:  # after the header
-        preset, action, us, completed = line.split()
-        cases[f"{preset} {action}"] = (float(us), int(completed))
-    return cases
-
-
 def quartiles(values):
     if len(values) < 2:
         return [values[0]] * 2 if values else [None, None]
@@ -150,25 +126,6 @@ def metric_values(side):
     return {n: m["value"] for n, m in result["metrics"].items()} if result else {}
 
 
-def step_summary(runs):
-    """The straggler_step cases of every pair, compared like the metrics,
-    and whether each case's `completed` count is the same on both sides."""
-    values, completed = [], {}
-    for r in runs:
-        pair = []
-        for side in ("base", "change"):
-            cases = r[side]["step"] or {}
-            pair.append({case: us for case, (us, _) in cases.items()})
-            for case, (_, n) in cases.items():
-                completed.setdefault(case, {"base": set(), "change": set()})[side].add(n)
-        values.append(tuple(pair))
-    return {"us_per_window": summarize(values, {}),
-            "completed": {case: {side: sorted(ns) for side, ns in sides.items()}
-                          for case, sides in completed.items()},
-            "completed_match": bool(completed) and all(
-                sides["base"] == sides["change"] for sides in completed.values())}
-
-
 def digest_of(line):
     return line.split("sha256=")[1].split()[0] if line and "sha256=" in line else None
 
@@ -192,7 +149,6 @@ def main():
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     cmd = bench["command"] + ["--workload", args.workload, "--seed", str(args.seed),
                               "--trace", "0", "--seconds", str(bench["run_seconds"])]
-    step_bench = args.workload.startswith("straggler")
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     trees = {side: os.path.join(tmp, side) for side in ("base", "change")}
     try:
@@ -208,7 +164,6 @@ def main():
             for side in order:
                 print(f"# pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)
                 pair[side] = bench_once(trees[side], cmd)
-                pair[side]["step"] = step_bench_once(trees[side]) if step_bench else None
             pair["first"] = order[0]
             runs.append(pair)
     finally:
@@ -243,8 +198,6 @@ def main():
         "metrics": summarize([(metric_values(r["base"]), metric_values(r["change"]))
                               for r in runs], better),
     }
-    if step_bench:
-        record["straggler_step"] = step_summary(runs)
     book = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
@@ -259,14 +212,6 @@ def main():
             print(f"{name}: base {m['base_median']:.4g} -> change "
                   f"{m['change_median']:.4g}, wins {m['wins']}/{m['of']}")
     ok = all(all(c) for c in record["correct"].values())
-    if step_bench:
-        steps = record["straggler_step"]
-        for case, m in steps["us_per_window"].items():
-            if m["base_median"] is not None and m["change_median"] is not None:
-                print(f"straggler_step {case}: base {m['base_median']:.4g} -> change "
-                      f"{m['change_median']:.4g} us/window, wins {m['wins']}/{m['of']}")
-        print(f"straggler_step completed counts match: {steps['completed_match']}")
-        ok = ok and steps["completed_match"]
     print(f"digests match: {record['digests_match']}; written to {args.out}")
     return 0 if ok else 1
 

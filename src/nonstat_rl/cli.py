@@ -32,7 +32,7 @@ _SCENARIO_FLAGS = ("cycles", "t_sw", "t_sw_mult", "epochs")
 def _build_scenario(name, env, t_c, flag):
     """The scenario `name`; `flag(name, default)` gives a scenario flag's
     value, and the flags it is asked for are the ones the scenario reads."""
-    switch_period = lambda: flag("t_sw") or int(round(flag("t_sw_mult", 1.0) * t_c))
+    switch_period = lambda: flag("t_sw", int(round(flag("t_sw_mult", 1.0) * t_c)))
     if name == "I":
         if env == "abr":
             return scenario_cyclic(switch_period(),
@@ -44,12 +44,12 @@ def _build_scenario(name, env, t_c, flag):
     if name == "III":
         return scenario_rare_reoccur(switch_period())
     if name == "drift":
-        return scenario_stationary("drift", flag("epochs") or 6 * t_c, name="SmoothDrift")
+        return scenario_stationary("drift", flag("epochs", 6 * t_c), name="SmoothDrift")
     if name == "fastswitch":
-        return scenario_stationary("fastswitch", flag("epochs") or 6 * t_c,
+        return scenario_stationary("fastswitch", flag("epochs", 6 * t_c),
                                    name="FastSwitch")
     if name.startswith("stationary:"):
-        return scenario_stationary(name.split(":", 1)[1], flag("epochs") or t_c)
+        return scenario_stationary(name.split(":", 1)[1], flag("epochs", t_c))
     raise ConfigError(f"unknown scenario {name!r}")
 
 
@@ -98,7 +98,7 @@ def _cmd_run(args):
             base = paper_scale(base)
         if "t_sw" in given and "t_sw_mult" in given:
             raise ConfigError("give --t-sw or --t-sw-mult, not both")
-        t_c = args.t_c or base.t_c
+        t_c = given.get("t_c", base.t_c)
         read = set()
 
         def flag(name, default=None):

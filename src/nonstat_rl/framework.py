@@ -211,7 +211,6 @@ class ExpertManager:
         self.mode = mode
         self.records = {}
         self._shared = None
-        self.active_index = None
 
     def signal(self, env_index):
         """Activate the expert for `env_index`, creating it on first sight.
@@ -228,12 +227,11 @@ class ExpertManager:
             else:
                 learner = self.factory(env_index)
             rec = self.records[env_index] = ExpertRecord(learner)
-        self.active_index = env_index
         return rec
 
-    def note_epoch(self):
-        """Advance the active environment's exploration counter."""
-        rec = self.records[self.active_index]
+    def note_epoch(self, env_index):
+        """Advance `env_index`'s exploration counter, up to the span."""
+        rec = self.records[env_index]
         if rec.exploration_epochs < self.exploration_span:
             rec.exploration_epochs += 1
 

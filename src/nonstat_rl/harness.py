@@ -125,8 +125,10 @@ _EXPERT_MODES = ("single", "multi", "oracle")
 _DETECTORS = ("truth", "gmm")
 
 
-# annotation -> (accepted type, its name in an error message)
-_NUMBER_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number")}
+# annotation -> (accepted type, its name in an error message); a bool is
+# accepted only where the annotation is bool
+_FIELD_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
 @dataclass
@@ -178,9 +180,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            kind = _NUMBER_KINDS.get(f.type)
+            kind = _FIELD_KINDS.get(f.type)
             value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            if kind and (isinstance(value, bool) != (kind[0] is bool)
+                         or not isinstance(value, kind[0])):
                 raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
         for name, valid in (("env", _CASES), ("learner", _LEARNERS),
                             ("expert_mode", _EXPERT_MODES), ("buffer", STRATEGIES),
@@ -300,33 +303,23 @@ class _Case:
     `step_ms` (simulated time per window), `feature_scales` and
     `paper_scale` (config overrides), and implement `start_epoch(key,
     epoch)`, `window(agent_act)` -> (executed action, controller, reward,
-    next observation, session end), `clock_ms()`, `end_epoch()` -> (epoch
-    metric, rebuffer seconds) and `net(head, out, rng)`. `agent_act()`
-    draws the agent's action; a window calls it at most once, and ends by
-    passing the environment's new observation to `observed`.
+    the environment's next observation, session end), `clock_ms()`,
+    `end_epoch()` -> (epoch metric, rebuffer seconds) and `net(head, out,
+    rng)`. `agent_act()` draws the agent's action; a window calls it at
+    most once.
     """
 
     def __init__(self, cfg, env):
         self.cfg = cfg
         self.env = env
         self.width = env.obs_dim + (len(self.feature_scales) if cfg.workload_info else 0)
-        self._features = None
 
-    def observed(self, obs):
-        """The agent's view of `obs`, the environment's newest observation:
-        with `cfg.workload_info`, the workload features of the same state
-        are appended."""
-        self._features = None
+    def observed(self, obs, features):
+        """The agent's view of observation `obs`: with `cfg.workload_info`,
+        `features`, the workload features of the same state, appended."""
         if not self.cfg.workload_info:
             return obs
-        return augment_observation(obs, self.workload_features(), self.feature_scales)
-
-    def workload_features(self):
-        """The environment's workload features at the newest observation,
-        computed on first use and shared by every reader until the next."""
-        if self._features is None:
-            self._features = self.env.workload_features()
-        return self._features
+        return augment_observation(obs, features, self.feature_scales)
 
 
 class _Straggler(_Case):
@@ -365,7 +358,7 @@ class _Straggler(_Case):
         action = st.NO_HEDGE_ACTION if controller == "default" else agent_act()
         res = sim.step(action)
         self._latencies.extend(res.stats["latencies"])
-        return action, controller, res.reward, self.observed(res.obs), False
+        return action, controller, res.reward, res.obs, False
 
     def clock_ms(self):
         return self.env.now
@@ -428,7 +421,7 @@ class _Abr(_Case):
                                  env.session.mu)
             if not done:
                 shown = guard.fict_buffer
-        return action, controller, reward, self.observed(env.observe(shown)), done
+        return action, controller, reward, env.observe(shown), done
 
     def clock_ms(self):
         return self.env.session.clock_s * 1000.0
@@ -562,12 +555,11 @@ class _Detector:
     def __init__(self, cfg, n_labels, rng):
         self.cfg = cfg
         self.rng = rng
-        self.mode = cfg.detector
         self.gmm = None
         self.history = []
         self.reported = 0
         self.width = n_labels
-        if self.mode == "gmm":
+        if cfg.detector == "gmm":
             self.gmm = GmmDetector(n_labels, seed=cfg.seed)
         elif cfg.label_noise > 0:
             self.width = max(n_labels, 2)
@@ -577,9 +569,10 @@ class _Detector:
         self._windows = 0
         self._features = []  # this epoch's windows, once the GMM is fitted
 
-    def epoch_label(self, true_label):
-        """The environment index used to route this epoch's experience."""
-        if self.mode == "truth":
+    def start_epoch(self, epoch, true_label):
+        """The environment index that routes this epoch: the (noisy) truth,
+        or the GMM's last report, the GMM first fitted if it is due."""
+        if self.gmm is None:
             label = true_label
             if self.cfg.label_noise > 0 and self.rng.random() < self.cfg.label_noise:
                 others = [i for i in range(self.width) if i != label]
@@ -587,15 +580,17 @@ class _Detector:
             self.reported = label
             self.post = np.zeros(self.width)
             self.post[label] = 1.0
+        elif (not self.gmm.fitted and epoch >= self.cfg.detector_warmup_epochs
+              and len(self.history) >= 10 * self.gmm.n_components):
+            self.gmm.fit(np.asarray(self.history))
         return self.reported
 
-    def observe_window(self, source):
-        """Note one window. Only the GMM reads `source.workload_features()`:
-        into the history it will be fitted on, or once fitted into this
-        epoch's windows, which `end_epoch` scores."""
+    def observe_window(self, features):
+        """Note one window. Only the GMM keeps its workload `features`: in the
+        history it is fitted on, or once fitted for `end_epoch` to score."""
         self._windows += 1
-        if self.mode == "gmm":
-            features = np.asarray(source.workload_features(), dtype=np.float64)
+        if self.gmm is not None:
+            features = np.asarray(features, dtype=np.float64)
             (self._features if self.gmm.fitted else self.history).append(features)
 
     def end_epoch(self):
@@ -616,12 +611,6 @@ class _Detector:
             rows.append((post, self.reported))
         return rows
 
-    def maybe_fit(self, epoch):
-        if (self.mode == "gmm" and not self.gmm.fitted
-                and epoch >= self.cfg.detector_warmup_epochs
-                and len(self.history) >= 10 * self.gmm.n_components):
-            self.gmm.fit(np.asarray(self.history))
-
 
 def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=None):
     """Run `cfg.scenario` through `case`, one epoch per scenario step.
@@ -630,11 +619,12 @@ def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=No
     `_Detector`) and route to its expert in `experts` (an ExpertManager),
     and record one `Epoch`. Per window: one `case.window` call, in which the
     case's safeguard or the expert (`act(rec, obs, act_rng)`) picks the
-    action and the environment steps; then the detector notes the window
-    and the training step `train` sees the transition. When the epoch ends,
-    a diverged run's partial last one included, the detector reads out every
-    window it noted at once (`detector.end_epoch()`: one posterior call for
-    a fitted GMM); the reported label routes the next epoch. A frozen run
+    action and the environment steps; then its workload features are read
+    once if a reader needs them, the detector notes them and the training
+    step `train` sees the transition. When the epoch ends, a diverged run's
+    partial last one included, the detector reads out every window it noted
+    at once (`detector.end_epoch()`: one posterior call for a fitted GMM);
+    the reported label routes the next epoch. A frozen run
     (`train=None`) never changes an expert and has nothing to converge:
     every epoch counts as post-convergence.
 
@@ -642,23 +632,26 @@ def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=No
     passed to it with its window rows and their detections, which are then
     dropped.
     """
-    scenario = cfg.scenario
+    scenario, env = cfg.scenario, case.env
     windows = []
     s = RunSummary(cfg)
-    obs = case.observed(case.env.observe())
+    read_features = cfg.workload_info or detector.gmm is not None
+    obs = case.observed(env.observe(),
+                        env.workload_features() if cfg.workload_info else None)
 
     for epoch in range(scenario.total_epochs):
         wkey, true_label = scenario.workload_at(epoch)
         case.start_epoch(wkey, epoch)
-        detector.maybe_fit(epoch)
-        label = detector.epoch_label(true_label)
+        label = detector.start_epoch(epoch, true_label)
         rec = experts.signal(label)
         default_windows = n_steps = 0
         try:
             for w in range(cfg.episode_len):
                 action, controller, reward, next_obs, done = case.window(
                     lambda: act(rec, obs, act_rng))
-                detector.observe_window(case)
+                features = env.workload_features() if read_features else None
+                next_obs = case.observed(next_obs, features)
+                detector.observe_window(features)
                 if write_epoch is not None:
                     windows.append((case.clock_ms(), controller))
                 agent = controller == "agent"
@@ -675,7 +668,7 @@ def _loop(cfg, case, experts, act, act_rng, detector, train=None, write_epoch=No
         detections = detector.end_epoch()
 
         if train is not None:
-            experts.note_epoch()
+            experts.note_epoch(label)
         if experts.exploration_complete(label):
             if train is not None:
                 train.explored(label)

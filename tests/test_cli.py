@@ -247,6 +247,12 @@ def _json(**changes):
     _json(buffer_capacity=0),
     _json(ltst_long_capacity=0),
     _json(small_capacity=0),
+    ["--t-c", "0"],
+    ["--t-sw", "0"],
+    ["--scenario", "stationary:A", "--epochs", "0"],
+    _json(safeguard="false"),
+    _json(workload_info=1),
+    _json(env=["straggler"]),
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-bool-dwell",
         "json-float-dwell", "json-string-number",
         "json-malformed-widths", "unknown-workload", "workload-of-other-env",
@@ -257,7 +263,9 @@ def _json(**changes):
         "negative-entropy-epochs", "negative-eps-random-epochs",
         "negative-eps-decay-epochs", "negative-guard-calibration-epochs",
         "negative-guard-anneal-epochs", "negative-detector-warmup-epochs",
-        "zero-buffer-capacity", "zero-ltst-long-capacity", "zero-small-capacity"])
+        "zero-buffer-capacity", "zero-ltst-long-capacity", "zero-small-capacity",
+        "zero-t-c", "zero-t-sw", "zero-epochs", "json-string-bool", "json-int-bool",
+        "json-list-env"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
         flags = flags(tmp_path)

@@ -143,13 +143,13 @@ class TestExpertManager:
         mgr = self.make()
         rec = mgr.signal(2)
         assert rec.exploration_epochs == 0
-        assert mgr.active_index == 2
+        assert mgr.records[2] is rec
 
     def test_revisit_after_completion_is_exploit_mode(self):
         mgr = self.make(span=5)
         mgr.signal(0)
         for _ in range(5):
-            mgr.note_epoch()
+            mgr.note_epoch(0)
         mgr.signal(1)
         rec = mgr.signal(0)
         assert rec.exploration_epochs == 5
@@ -161,11 +161,11 @@ class TestExpertManager:
         expected = {0: 0, 1: 0}
         mgr.signal(0)
         for _ in range(4):
-            mgr.note_epoch()
+            mgr.note_epoch(0)
             expected[0] += 1
         mgr.signal(1)
         for _ in range(2):
-            mgr.note_epoch()
+            mgr.note_epoch(1)
             expected[1] += 1
         rec = mgr.signal(0)
         assert rec.exploration_epochs == expected[0] == 4
@@ -175,15 +175,16 @@ class TestExpertManager:
         mgr = self.make(span=3)
         rng = np.random.default_rng(10)
         for _ in range(100):
-            mgr.signal(int(rng.integers(4)))
-            mgr.note_epoch()
+            env_index = int(rng.integers(4))
+            mgr.signal(env_index)
+            mgr.note_epoch(env_index)
         for rec in mgr.records.values():
             assert rec.exploration_epochs <= 3
 
     def test_single_mode_shares_learner_but_tracks_counters(self):
         mgr = self.make(mode="single")
         a = mgr.signal(0).learner
-        mgr.note_epoch()
+        mgr.note_epoch(0)
         b = mgr.signal(1).learner
         assert a is b
         assert mgr.records[0].exploration_epochs == 1

@@ -416,11 +416,11 @@ class TestDetectorModes:
         env = lambda i: SimpleNamespace(
             workload_features=lambda: rng.normal(centres[i % 2], 1.0))
         for i in range(30):
-            det.observe_window(env(i))
-        det.maybe_fit(cfg.detector_warmup_epochs)
+            det.observe_window(env(i).workload_features())
+        det.start_epoch(cfg.detector_warmup_epochs, 0)
         assert det.gmm.fitted
         for i in range(30):
-            det.observe_window(env(i))
+            det.observe_window(env(i).workload_features())
         assert len(det.history) == 30
 
     @pytest.mark.parametrize("scenario, label_noise, width", [
@@ -434,7 +434,7 @@ class TestDetectorModes:
         cfg = tiny_cfg(scenario=scenario, label_noise=label_noise)
         det = _Detector(cfg, len(scenario.keys), np.random.default_rng(0))
         for _ in range(20):
-            label = det.epoch_label(0)
+            label = det.start_epoch(0, 0)
             det.observe_window(None)
             [(post, reported)] = det.end_epoch()
             assert reported == label < width == det.width == len(post)
@@ -445,12 +445,12 @@ class TestDetectorModes:
         det = _Detector(tiny_cfg(detector="gmm"), 3, None)
         constant = SimpleNamespace(workload_features=lambda: np.array([5.0, 1.0]))
         for _ in range(30):
-            det.observe_window(constant)
+            det.observe_window(constant.workload_features())
         assert [len(post) for post, _ in det.end_epoch()] == [3] * 30
         with pytest.warns(UserWarning, match="degenerate"):
-            det.maybe_fit(det.cfg.detector_warmup_epochs)
+            det.start_epoch(det.cfg.detector_warmup_epochs, 0)
         assert det.gmm.degenerate
-        det.observe_window(constant)
+        det.observe_window(constant.workload_features())
         [(post, reported)] = det.end_epoch()
         assert reported == 0 and list(post) == [1.0, 0.0, 0.0]
 

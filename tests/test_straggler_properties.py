@@ -9,11 +9,21 @@ must differ by the unfinished jobs still holding a copy. Whole runs must
 conserve jobs, never finish a job sooner than the copy that completed it
 was served, never hedge while latched and give the same results whether
 or not the event log is kept.
+
+Seeded distribution checks, with margins fixed before they were first run,
+compare what the simulator draws with what its presets say: inter-arrival
+gaps and job sizes read from the event log, and the slowdown fraction of
+`draw_service_time`.
 """
 
+import math
+
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonstat_rl.straggler import TIMEOUTS_MS, WORKLOAD_PRESETS, StragglerSim
+from nonstat_rl.straggler import (NO_HEDGE_ACTION, SLOWDOWN_FACTOR, SLOWDOWN_PROB,
+                                  TIMEOUTS_MS, WORKLOAD_PRESETS, StragglerSim)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 PRESETS = ("A", "B", "C", "high_rate")
@@ -137,3 +147,58 @@ def test_event_log_does_not_change_results(spec, acts):
         assert r1.obs.tobytes() == r2.obs.tobytes()
         assert (r1.reward, r1.stats) == (r2.reward, r2.stats)
     assert not quiet.event_log and logged.event_log
+
+
+# --------------------------------------------------------------------------
+# distributions
+
+DIST_WINDOWS = 400
+KS_CRITICAL = 1.95  # sqrt(n) * D at the 0.1% level
+
+
+def logged_arrivals(key, seed):
+    """(arrival times, job sizes) of the `arrive` events of an unhedged
+    run of preset `key`, in ms."""
+    sim = StragglerSim(WORKLOAD_PRESETS[key], seed=seed, keep_event_log=True)
+    for _ in range(DIST_WINDOWS):
+        sim.step(NO_HEDGE_ACTION)
+    arrive = [(t, float(size)) for t, event, _, _, size in sim.event_log
+              if event == "arrive"]
+    return tuple(np.array(col) for col in zip(*arrive))
+
+
+def ks_statistic(sample, cdf):
+    """The largest distance between `sample`'s empirical CDF and `cdf`."""
+    x = np.sort(sample)
+    f = cdf(x)
+    i = np.arange(1, len(x) + 1)
+    return max(np.max(i / len(x) - f), np.max(f - (i - 1) / len(x)))
+
+
+@pytest.mark.parametrize("key, seed", [("A", 101), ("C", 102)])
+def test_arrival_gaps_are_exponential_at_the_preset_rate(key, seed):
+    times, _ = logged_arrivals(key, seed)
+    gaps = np.diff(times, prepend=0.0)  # the first arrival is drawn from t = 0
+    rate_per_ms = WORKLOAD_PRESETS[key].rate / 1000.0
+    d = ks_statistic(gaps, lambda x: 1.0 - np.exp(-rate_per_ms * x))
+    assert d < KS_CRITICAL / math.sqrt(len(gaps))
+
+
+@pytest.mark.parametrize("key, seed", [("A", 103), ("C", 104)])
+def test_job_sizes_are_lognormal_with_the_preset_mean(key, seed):
+    _, sizes = logged_arrivals(key, seed)
+    preset = WORKLOAD_PRESETS[key]
+    sigma = preset.sigma
+    mu = math.log(preset.mean_size) - 0.5 * sigma * sigma  # E[size] = mean_size
+    erf = np.vectorize(math.erf)
+    d = ks_statistic(sizes, lambda x: 0.5 * (1.0 + erf((np.log(x) - mu)
+                                                       / (sigma * math.sqrt(2.0)))))
+    assert d < KS_CRITICAL / math.sqrt(len(sizes))
+
+
+def test_slowdown_fraction_matches_the_slowdown_probability():
+    sim = StragglerSim(WORKLOAD_PRESETS["A"], seed=105)
+    n = 20_000
+    slowed = sum(sim.draw_service_time(1.0) == SLOWDOWN_FACTOR for _ in range(n))
+    stderr = math.sqrt(SLOWDOWN_PROB * (1.0 - SLOWDOWN_PROB) / n)
+    assert abs(slowed / n - SLOWDOWN_PROB) < 4 * stderr
