@@ -11,11 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 training divergence recorded.
 from __future__ import annotations
 
 import argparse
+import builtins
 import contextlib
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import ConfigError
 from .harness import (ExperimentConfig, abr_defaults, aggregate_boxstats,
@@ -31,8 +32,10 @@ _SCENARIO_FLAGS = ("cycles", "t_sw", "t_sw_mult", "epochs")
 
 def _build_scenario(name, env, t_c, flag):
     """The scenario `name`; `flag(name, default)` gives a scenario flag's
-    value, and the flags it is asked for are the ones the scenario reads."""
-    switch_period = lambda: flag("t_sw", int(round(flag("t_sw_mult", 1.0) * t_c)))
+    value, and is asked only for the flags the scenario reads."""
+    def switch_period():
+        t_sw = flag("t_sw", None)
+        return int(round(flag("t_sw_mult", 1.0) * t_c)) if t_sw is None else t_sw
     if name == "I":
         if env == "abr":
             return scenario_cyclic(switch_period(),
@@ -57,64 +60,49 @@ def _flags(names):
     return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
-# `run`'s config flags parse to None when not given, so that any given next
-# to --config can be named. Without --config, a flag named for a config field
-# sets it when given (else the base config's value stands), and these two
-# give the environment and scenario when not given.
-_SCENARIO_DEFAULTS = {"env": "straggler", "scenario": "I"}
-_FIELD_FLAGS = ("learner", "expert_mode", "buffer", "workload_info", "detector",
-                "label_noise", "episode_len", "lr", "gamma", "entropy_start",
-                "entropy_epochs", "reward_scale", "guard_anneal_epochs")
-_NOT_CONFIG_FLAGS = ("cmd", "fn", "config", "seed", "out_dir")
+# `run`'s flags named for ExperimentConfig fields, each parsed to its field's
+# type; ExperimentConfig checks the values, so a bad one is a config error
+_FIELD_FLAGS = ("env", "learner", "expert_mode", "buffer", "t_c", "episode_len",
+                "lr", "gamma", "entropy_start", "entropy_epochs", "reward_scale",
+                "guard_anneal_epochs", "workload_info", "detector", "label_noise")
 
 
 def _cmd_run(args):
-    given = {name: value for name, value in vars(args).items()
-             if value is not None and name not in _NOT_CONFIG_FLAGS}
-    if args.config:
+    # `run` parses no defaults: `given` holds the flags given, in command-line
+    # order; each is popped where it is read, and the rest set config fields
+    given = vars(args)
+    del given["cmd"], given["fn"]
+    seed, out_dir = given.pop("seed"), given.pop("out_dir")
+    if "config" in given:
+        path = given.pop("config")
         if given:
             raise ConfigError(f"with --config, give only --seed and --out-dir, "
                               f"not {_flags(given)}")
         try:
-            with open(args.config) as fh:
+            with open(path) as fh:
                 obj = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read {args.config}: {exc}") from None
-        cfg = replace(ExperimentConfig.from_json(obj), seed=args.seed,
-                      out_dir=args.out_dir)
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+        cfg = replace(ExperimentConfig.from_json(obj), seed=seed, out_dir=out_dir)
     else:
-        for name, default in _SCENARIO_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        if args.env == "abr":
-            base = abr_defaults(scenario_stationary("UG1", 1))
-        else:
-            base = ExperimentConfig(scenario=scenario_stationary("A", 1))
-        if args.paper_scale:
+        env = given.pop("env", "straggler")
+        base = (abr_defaults(scenario_stationary("UG1", 1)) if env == "abr"
+                else ExperimentConfig(scenario=scenario_stationary("A", 1)))
+        if given.pop("paper_scale", False):
             scaled = [name for name in given if name in paper_scale_fields(base.env)]
             if scaled:
                 raise ConfigError(f"--paper-scale sets {_flags(scaled)}; "
                                   f"do not give them with it")
             base = paper_scale(base)
-        if "t_sw" in given and "t_sw_mult" in given:
-            raise ConfigError("give --t-sw or --t-sw-mult, not both")
-        t_c = given.get("t_c", base.t_c)
-        read = set()
-
-        def flag(name, default=None):
-            read.add(name)
-            return given.get(name, default)
-
-        scenario = _build_scenario(args.scenario, args.env, t_c, flag)
-        unread = [name for name in _SCENARIO_FLAGS if name in given and name not in read]
+        t_c = given.pop("t_c", base.t_c)
+        name = given.pop("scenario", "I")
+        scenario = _build_scenario(name, env, t_c, given.pop)
+        unread = [flag for flag in given if flag in _SCENARIO_FLAGS]
         if unread:
-            raise ConfigError(f"--scenario {args.scenario} does not read "
-                              f"{_flags(unread)}")
-        cfg = replace(
-            base, scenario=scenario, env=args.env,
-            safeguard=not args.no_safeguard, seed=args.seed, out_dir=args.out_dir,
-            t_c=t_c, **{name: given[name] for name in _FIELD_FLAGS if name in given},
-        )
+            raise ConfigError(f"--scenario {name} does not read {_flags(unread)}")
+        safeguard = not given.pop("no_safeguard", False)
+        cfg = replace(base, scenario=scenario, env=env, safeguard=safeguard,
+                      seed=seed, out_dir=out_dir, t_c=t_c, **given)
     summary = run_experiment(cfg)
     print(f"done: {len(summary.epochs)} epochs, "
           f"post-convergence from {summary.post_convergence_from}, "
@@ -166,18 +154,13 @@ def build_parser():
                                 description="online RL for time-varying systems")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    r = sub.add_parser("run", help="run one experiment")
+    r = sub.add_parser("run", help="run one experiment",
+                       argument_default=argparse.SUPPRESS)
     r.add_argument("--config",
                    help="JSON config file; with it, no flag but --seed and "
                         "--out-dir may be given")
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--out-dir", required=True)
-    # the config flags: ExperimentConfig checks their values, so a bad one is
-    # a one-line config error
-    r.add_argument("--env")
-    r.add_argument("--learner")
-    r.add_argument("--expert-mode")
-    r.add_argument("--buffer")
     r.add_argument("--scenario",
                    help="I | II | III | drift | fastswitch | stationary:<KEY>; "
                         "II, III, drift and fastswitch are straggler scenarios")
@@ -187,19 +170,13 @@ def build_parser():
                    help="switch period as a multiple of T_c")
     r.add_argument("--epochs", type=int,
                    help="total epochs for single-workload scenarios")
-    r.add_argument("--t-c", type=int)
-    r.add_argument("--episode-len", type=int)
-    r.add_argument("--lr", type=float)
-    r.add_argument("--gamma", type=float)
-    r.add_argument("--entropy-start", type=float)
-    r.add_argument("--entropy-epochs", type=int)
-    r.add_argument("--reward-scale", type=float)
-    r.add_argument("--guard-anneal-epochs", type=int)
-    r.add_argument("--workload-info", action="store_true", default=None)
-    r.add_argument("--no-safeguard", action="store_true", default=None)
-    r.add_argument("--detector")
-    r.add_argument("--label-noise", type=float)
-    r.add_argument("--paper-scale", action="store_true", default=None,
+    annotations = {f.name: f.type for f in fields(ExperimentConfig)}
+    for name in _FIELD_FLAGS:
+        kind = getattr(builtins, annotations[name])     # int, float, str or bool
+        r.add_argument("--" + name.replace("_", "-"),
+                       **{"action": "store_true"} if kind is bool else {"type": kind})
+    r.add_argument("--no-safeguard", action="store_true")
+    r.add_argument("--paper-scale", action="store_true",
                    help="use the full-size epoch budgets")
     r.set_defaults(fn=_cmd_run)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,15 +252,12 @@ class SafetyMonitor:
     unsafe_threshold: float
     safe_threshold: float
     controller: str = "agent"
-    transitions: list = field(default_factory=list)
 
-    def step(self, reading, t=None):
+    def step(self, reading):
         if self.controller == "agent" and reading >= self.unsafe_threshold:
             self.controller = "default"
-            self.transitions.append((t, "unsafe", float(reading)))
         elif self.controller == "default" and reading <= self.safe_threshold:
             self.controller = "agent"
-            self.transitions.append((t, "safe", float(reading)))
         return self.controller
 
 

@@ -23,8 +23,11 @@ import contextlib
 import csv
 import json
 import os
+import sys
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import accumulate
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -52,13 +55,13 @@ class Scenario:
     dwells: list
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"scenario name must be a string, got {self.name!r}")
         if not self.dwells or not all(
                 isinstance(n, Integral) and not isinstance(n, bool) and n > 0
                 for _, n in self.dwells):
             raise ConfigError("scenario needs positive integer dwell lengths")
-        self._epoch_key = []
-        for key, n in self.dwells:
-            self._epoch_key.extend([key] * n)
+        self._ends = list(accumulate(n for _, n in self.dwells))
         order = []
         for key, _ in self.dwells:
             if key not in order:
@@ -68,10 +71,10 @@ class Scenario:
 
     @property
     def total_epochs(self):
-        return len(self._epoch_key)
+        return self._ends[-1]
 
     def workload_at(self, epoch):
-        key = self._epoch_key[epoch]
+        key = self.dwells[bisect_right(self._ends, epoch)][0]
         return key, self.label_of[key]
 
     def to_json(self):
@@ -126,8 +129,9 @@ _DETECTORS = ("truth", "gmm")
 
 
 # annotation -> (accepted type, its name in an error message); a bool is
-# accepted only where the annotation is bool
-_FIELD_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
+# accepted only where the annotation is bool, and a number must be a finite
+# float (NaN fails the comparison)
+_FIELD_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a finite number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
@@ -183,7 +187,8 @@ class ExperimentConfig:
             kind = _FIELD_KINDS.get(f.type)
             value = getattr(self, f.name)
             if kind and (isinstance(value, bool) != (kind[0] is bool)
-                         or not isinstance(value, kind[0])):
+                         or not isinstance(value, kind[0])
+                         or kind[0] is Real and not abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
         for name, valid in (("env", _CASES), ("learner", _LEARNERS),
                             ("expert_mode", _EXPERT_MODES), ("buffer", STRATEGIES),
@@ -201,7 +206,7 @@ class ExperimentConfig:
                      "buffer_capacity", "ltst_long_capacity", "small_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("entropy_start", "entropy_epochs", "eps_random_epochs",
+        for name in ("seed", "entropy_start", "entropy_epochs", "eps_random_epochs",
                      "eps_decay_epochs", "guard_calibration_epochs",
                      "guard_anneal_epochs", "detector_warmup_epochs"):
             if getattr(self, name) < 0:
@@ -214,6 +219,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.expert_mode == "oracle" and (self.detector != "truth" or self.label_noise > 0):
             raise ConfigError("oracle mode requires clean ground-truth labels")
+        if self.detector == "gmm" and self.label_noise > 0:
+            raise ConfigError("label_noise applies to the truth detector only")
 
     def to_json(self):
         d = asdict(self)
@@ -354,7 +361,7 @@ class _Straggler(_Case):
         """The agent acts only while the monitor leaves it in control."""
         sim = self.env
         controller = ("agent" if self.monitor is None
-                      else self.monitor.step(sim.last_window_max_queue, t=sim.now))
+                      else self.monitor.step(sim.last_window_max_queue))
         action = st.NO_HEDGE_ACTION if controller == "default" else agent_act()
         res = sim.step(action)
         self._latencies.extend(res.stats["latencies"])

@@ -253,6 +253,13 @@ def _json(**changes):
     _json(safeguard="false"),
     _json(workload_info=1),
     _json(env=["straggler"]),
+    ["--seed", "-1"],
+    ["--lr", "nan"],
+    _json(entropy_start=float("inf")),
+    _json(reward_scale=float("inf")),
+    ["--detector", "gmm", "--label-noise", "0.2"],
+    _json(lr=10**400),          # an int beyond float range
+    _json(scenario={"name": ["s"], "dwells": [["C", 3]]}),
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-bool-dwell",
         "json-float-dwell", "json-string-number",
         "json-malformed-widths", "unknown-workload", "workload-of-other-env",
@@ -265,7 +272,9 @@ def _json(**changes):
         "negative-guard-anneal-epochs", "negative-detector-warmup-epochs",
         "zero-buffer-capacity", "zero-ltst-long-capacity", "zero-small-capacity",
         "zero-t-c", "zero-t-sw", "zero-epochs", "json-string-bool", "json-int-bool",
-        "json-list-env"])
+        "json-list-env", "negative-seed", "nan-lr", "json-inf-entropy-start",
+        "json-inf-reward-scale", "gmm-label-noise", "json-int-lr-beyond-float",
+        "json-list-scenario-name"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
         flags = flags(tmp_path)
