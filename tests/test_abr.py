@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as hst
 from nonstat_rl.abr import (BITRATES_KBPS, CHUNK_S, DEFAULT_MU, HISTORY_K,
                             MAX_BUFFER_S, USER_GROUPS, AbrEnv, AbrSession,
                             BandwidthGen, FakeReplayGuard, UserGroupParams,
-                            VideoSpec, bba_action, buffer_step, guard_step, qoe)
+                            VideoSpec, _sticky, bba_action, buffer_step, guard_step,
+                            qoe)
 from nonstat_rl.errors import ConfigError
 from nonstat_rl.harness import _Abr, abr_defaults, scenario_stationary
 
@@ -210,6 +211,51 @@ class TestBandwidthGen:
         assert all(stats["UG2"]["indiv"] < stats[k]["indiv"]
                    for k in ("UG1", "UG3", "UG4", "UG5"))
         assert stats["UG1"]["indiv"] > stats["UG3"]["indiv"]
+
+
+class TestBandwidthDistribution:
+    """Seeded checks that a trace follows its preset's Markov chain and OU
+    overlay. Margins were fixed from each statistic's standard error before
+    the first run (about 4-7 standard errors)."""
+
+    @pytest.mark.parametrize("theta", [0.2, 0.5])
+    def test_single_state_lag1_autocorrelation_is_one_minus_theta(self, theta):
+        # one state far above the floor: the trace is the level plus an AR(1)
+        # with coefficient 1 - theta (standard error about 0.006 at 20,000 s)
+        params = UserGroupParams("t", (2000,), ((1.0,),), ou_sigma=100.0, ou_theta=theta)
+        x = BandwidthGen(params, np.random.default_rng(11)).generate(20_000)
+        assert x.min() > params.floor_kbps
+        x = x - x.mean()
+        r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
+        assert abs(r1 - (1.0 - theta)) < 0.03
+
+    def test_sigma_zero_time_share_is_the_stationary_distribution(self):
+        # 10,000 dwells; the share's standard error is about 0.011
+        kernel = ((0.8, 0.15, 0.05), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6))
+        states = (500, 1000, 2000)
+        params = UserGroupParams("t", states, kernel, ou_sigma=0.0, ou_theta=0.3)
+        trace = BandwidthGen(params, np.random.default_rng(12)).generate(40_000)
+        share = np.array([np.mean(trace == s) for s in states])
+        assert share.sum() == 1.0
+        # stationary pi solves pi K = pi, sum(pi) = 1
+        k = np.asarray(kernel)
+        a = np.vstack([k.T - np.eye(3), np.ones(3)])
+        pi = np.linalg.lstsq(a, np.array([0.0, 0.0, 0.0, 1.0]), rcond=None)[0]
+        assert np.all(np.abs(share - pi) < 0.05)
+
+    def test_state_changes_only_at_dwell_boundaries_with_geometric_runs(self):
+        # stay 0.75: runs of 1 / (1 - 0.75) = 4 dwells on average; about
+        # 2,000 runs, so the mean's standard error is about 0.08
+        dwell, stay = 5, 0.75
+        params = UserGroupParams("t", (500, 1000, 2000), _sticky(3, stay), ou_sigma=0.0,
+                                 ou_theta=0.3, dwell_s=dwell)
+        trace = BandwidthGen(params, np.random.default_rng(13)).generate(40_000)
+        changes = np.flatnonzero(np.diff(trace)) + 1
+        assert len(changes) > 1000
+        assert np.all(changes % dwell == 0)
+        runs_s = np.diff(np.concatenate([[0], changes, [len(trace)]]))
+        assert abs(runs_s.mean() / dwell - 1.0 / (1.0 - stay)) < 0.4
+
 
 class TestVideoSpec:
     def test_synth_sizes_monotone(self):
