@@ -28,6 +28,7 @@ are still represented in its experience.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,12 @@ class UserGroupParams:
             raise ConfigError("kernel rows must be distributions")
         if not 0 < self.ou_theta <= 1:
             raise ConfigError("ou_theta must be in (0, 1]")
+        if not self.ou_sigma >= 0:
+            raise ConfigError("ou_sigma must be non-negative")
+        if not self.dwell_s >= 1:
+            raise ConfigError("dwell_s must be at least 1 s")
+        if not self.floor_kbps > 0:
+            raise ConfigError("floor_kbps must be positive")
 
 
 def _sticky(n, stay):
@@ -161,30 +168,38 @@ USER_GROUPS = {
 
 
 class BandwidthGen:
-    """Per-second throughput traces from a user-group preset."""
+    """Per-second throughput traces from a user-group preset.
+
+    The stream is a uniform initial state, then per dwell one `random()`
+    for the next state (at every boundary after the first) and one
+    standard normal per second for the OU overlay. The normals of a dwell
+    are drawn as one block, which draws the same stream as one at a time.
+    """
 
     def __init__(self, params, rng):
         self.params = params
         self.rng = rng
         self.kernel = np.asarray(params.kernel, dtype=np.float64)
-        self.cum = np.cumsum(self.kernel, axis=1)
+        self.cum = np.cumsum(self.kernel, axis=1).tolist()
 
     def generate(self, duration_s):
         p = self.params
-        n_states = len(p.states_kbps)
-        state = int(self.rng.integers(n_states))  # uniform initial distribution
-        out = np.empty(int(duration_s))
+        n, dwell = int(duration_s), int(p.dwell_s)
+        theta, sigma = p.ou_theta, p.ou_sigma
+        state = int(self.rng.integers(len(p.states_kbps)))  # uniform initial distribution
+        out = []
         y = 0.0
-        dwell = max(1, int(p.dwell_s))
-        for t in range(len(out)):
-            if t and t % dwell == 0:
-                state = int(np.searchsorted(self.cum[state], self.rng.random()))
+        for start in range(0, n, dwell):
+            if start:  # bisect_left is np.searchsorted's default side
+                state = bisect_left(self.cum[state], self.rng.random())
             level = p.states_kbps[state]
-            y += p.ou_theta * (0.0 - y)
-            if p.ou_sigma > 0:
-                y += p.ou_sigma * self.rng.standard_normal()
-            out[t] = max(p.floor_kbps, level + y)
-        return out
+            m = min(dwell, n - start)
+            # with sigma 0, y stays exactly 0.0 and nothing is drawn
+            for z in self.rng.standard_normal(m).tolist() if sigma > 0 else [0.0] * m:
+                y += theta * (0.0 - y)
+                y += sigma * z
+                out.append(level + y)
+        return np.maximum(p.floor_kbps, np.asarray(out, dtype=np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +214,7 @@ class AbrSession:
         self.trace = np.asarray(trace_kbps, dtype=np.float64)
         if self.trace.size == 0 or np.any(self.trace <= 0):
             raise ConfigError("bandwidth trace must be positive")
+        self._kbps = self.trace.tolist()  # Python floats for `_download`'s walk
         if mu < 0:
             raise ConfigError("mu must be non-negative")
         self.mu = mu
@@ -215,13 +231,14 @@ class AbrSession:
         """Consume trace seconds until `size_bytes` have transferred."""
         need_kbit = size_bytes * 8.0 / 1000.0
         t = self.clock_s
-        n = len(self.trace)
+        trace = self._kbps
+        n = len(trace)
         while need_kbit > 1e-12:
             idx = int(t) % n
             frac = 1.0 - (t - math.floor(t))
-            can = self.trace[idx] * frac
+            can = trace[idx] * frac
             if can >= need_kbit:
-                t += need_kbit / self.trace[idx]
+                t += need_kbit / trace[idx]
                 need_kbit = 0.0
             else:
                 need_kbit -= can
@@ -347,9 +364,12 @@ class AbrEnv:
 
     def __init__(self, group, spec=None, seed=0):
         self.group = group
-        self.spec = spec if spec is not None else VideoSpec.synth(seed=0)
+        self.spec = spec = spec if spec is not None else VideoSpec.synth(seed=0)
         self.rng = np.random.default_rng(seed)
         self._tput_window = []  # cross-session throughput history for detection
+        size_scale = spec.bitrates_kbps[-1] * 1000.0 / 8.0 * spec.chunk_s
+        self._scaled_sizes = spec.sizes_bytes / size_scale
+        self._row = np.zeros(self.obs_dim)
         self.session = None
         self._new_session()
 
@@ -359,26 +379,21 @@ class AbrEnv:
     def _new_session(self):
         trace = BandwidthGen(self.group, self.rng).generate(SESSION_TRACE_S)
         self.session = AbrSession(self.spec, trace)
-        self._downloads = [0.0] * HISTORY_K
-        self._tputs = [0.0] * HISTORY_K
+        self._row[:2 * HISTORY_K] = 0.0
 
     @property
     def obs_dim(self):
         return 2 * HISTORY_K + 3 + self.spec.n_levels
 
     def observe(self, observed_buffer=None):
-        buf = self.session.buffer_s if observed_buffer is None else observed_buffer
-        spec = self.spec
-        next_sizes = spec.sizes_bytes[min(self.session.chunk, spec.n_chunks - 1)]
-        size_scale = spec.bitrates_kbps[-1] * 1000.0 / 8.0 * spec.chunk_s
-        return np.concatenate([
-            np.asarray(self._downloads) / 10.0,
-            np.asarray(self._tputs) / 5000.0,
-            [buf / MAX_BUFFER_S,
-             (spec.n_chunks - self.session.chunk) / spec.n_chunks,
-             self.session.prev_level / (spec.n_levels - 1)],
-            next_sizes / size_scale,
-        ])
+        session, spec, obs = self.session, self.spec, self._row.copy()
+        k = 2 * HISTORY_K
+        buf = session.buffer_s if observed_buffer is None else observed_buffer
+        obs[k] = buf / MAX_BUFFER_S
+        obs[k + 1] = (spec.n_chunks - session.chunk) / spec.n_chunks
+        obs[k + 2] = session.prev_level / (spec.n_levels - 1)
+        obs[k + 3:] = self._scaled_sizes[min(session.chunk, spec.n_chunks - 1)]
+        return obs
 
     def default_action(self):
         return bba_action(self.session.buffer_s, self.spec.bitrates_kbps)
@@ -387,10 +402,13 @@ class AbrEnv:
         """Download the next chunk at `level`; returns (the session's chunk
         record, whether the session ended). A new session starts at the end."""
         info = self.session.step(level)
-        self._downloads.pop(0)
-        self._downloads.append(info["download_s"])
-        self._tputs.pop(0)
-        self._tputs.append(info["throughput_kbps"])
+        row, k = self._row, HISTORY_K
+        # the history blocks of the observation row, shifted in place by one
+        # move: the oldest throughput lands in the newest download slot,
+        # which is overwritten next
+        row[:2 * k - 1] = row[1:2 * k]
+        row[k - 1] = info["download_s"] / 10.0
+        row[2 * k - 1] = info["throughput_kbps"] / 5000.0
         self._tput_window.append(info["throughput_kbps"])
         if len(self._tput_window) > 25:
             self._tput_window.pop(0)

@@ -5,7 +5,7 @@ reward magnitudes differ by orders of magnitude.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import os
 
 import numpy as np
@@ -92,6 +92,28 @@ class DqnLearner:
         return self.update(buffer.sample(self.batch_size, rng), reward_scaler)
 
 
+class RunningMedian:
+    """The median of a growing multiset in O(log n) per `add`: the lower
+    half in a max-heap (stored negated), the upper half in a min-heap, the
+    lower half one longer when the count is odd. The median is the middle
+    element, or `(a + b) / 2` of the two middles, as over the sorted list."""
+
+    def __init__(self):
+        self._low, self._high = [], []
+
+    def add(self, x):
+        low, high = self._low, self._high
+        if len(low) == len(high):
+            heapq.heappush(low, -heapq.heappushpop(high, x))
+        else:
+            heapq.heappush(high, -heapq.heappushpop(low, -x))
+
+    def median(self):
+        if len(self._low) > len(self._high):
+            return -self._low[0]
+        return (-self._low[0] + self._high[0]) / 2
+
+
 class RewardScaler:
     """Per-environment reward normalization, frozen after calibration.
 
@@ -101,19 +123,22 @@ class RewardScaler:
     freezing is what keeps a shared Q-network's loss comparable across
     environments. With no data (or an all-zero median) the scale is 1.
 
-    Samples are kept sorted, so the running median is O(1) to read and
-    equal to `np.median` of the same values.
+    Samples are kept in a `RunningMedian`, so the running median is O(1)
+    to read and equal to `np.median` of the same values.
     """
 
     def __init__(self):
-        self._samples = {}  # env -> sorted absolute rewards
+        self._samples = {}  # env -> RunningMedian of absolute rewards
         self._frozen = {}
 
     def observe(self, env_index, reward):
         """Record a calibration-phase reward; ignored once frozen."""
         if env_index in self._frozen:
             return
-        bisect.insort(self._samples.setdefault(env_index, []), abs(float(reward)))
+        samples = self._samples.get(env_index)
+        if samples is None:
+            samples = self._samples[env_index] = RunningMedian()
+        samples.add(abs(float(reward)))
 
     def freeze(self, env_index):
         """Pin the environment's scale at the median absolute reward and
@@ -125,10 +150,9 @@ class RewardScaler:
 
     def _estimate(self, env_index):
         samples = self._samples.get(env_index)
-        if not samples:
+        if samples is None:
             return 1.0
-        mid = len(samples) // 2
-        med = samples[mid] if len(samples) % 2 else (samples[mid - 1] + samples[mid]) / 2
+        med = samples.median()
         return med if med > 0 else 1.0
 
     def scale_of(self, env_index):

@@ -180,6 +180,17 @@ class TestBandwidthGen:
         with pytest.raises(ConfigError):
             UserGroupParams("bad", (1, 2), ((0.5, 0.4), (0.5, 0.5)), 10.0, 0.2)
 
+    # each of these used to be accepted and then misread by the generator
+    @pytest.mark.parametrize("field,value", [
+        ("ou_sigma", -1.0),      # drew no noise at all
+        ("dwell_s", 0.5),        # became a 1 s dwell
+        ("floor_kbps", 0.0),     # let a trace reach 0, failing a later session
+    ])
+    def test_misread_parameters_rejected(self, field, value):
+        kw = {"ou_sigma": 10.0, "ou_theta": 0.2, field: value}
+        with pytest.raises(ConfigError):
+            UserGroupParams("bad", (1000,), ((1.0,),), **kw)
+
     def test_strictly_positive_output(self):
         params = UserGroupParams("t", (100,), ((1.0,),), ou_sigma=500.0, ou_theta=0.1,
                                  floor_kbps=50.0)
