@@ -154,7 +154,8 @@ class A2cLearner:
         if coef:
             grad_p += coef * (np.log(np.clip(probs, 1e-32, None)) + 1.0) / n
         self.actor.backward(grad_p)
-        policy_loss = -(np.log(p_a) * advantages).mean() - coef * entropy_of(probs).mean()
+        entropy = entropy_of(probs).mean()
+        policy_loss = -(np.log(p_a) * advantages).mean() - coef * entropy
 
         # critic: mean squared error against the GAE returns
         v = self.critic.forward_train(states).reshape(-1)
@@ -171,7 +172,7 @@ class A2cLearner:
         return {
             "policy_loss": float(policy_loss),
             "value_loss": float(value_loss),
-            "entropy": float(entropy_of(probs).mean()),
+            "entropy": float(entropy),
             "entropy_coef": coef,
             "n_steps": n,
         }

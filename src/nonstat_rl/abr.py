@@ -46,6 +46,9 @@ HISTORY_K = 9
 SESSION_TRACE_S = 1600  # bandwidth drawn per session; a session uses ~200 s
 # normalization of `AbrEnv.workload_features` when appended to observations
 FEATURE_SCALES = (2000.0, 600.0, 2000.0, 600.0)
+# `bba_action`'s ramp: lowest level up to the reservoir, highest from reservoir + cushion
+BBA_RESERVOIR_S = 5.0
+BBA_CUSHION_S = 10.0
 
 
 def qoe(q, q_prev, rebuffer_s, mu):
@@ -62,18 +65,19 @@ def buffer_step(buffer_s, download_s, chunk_s):
     return rebuffer, capped, after - capped
 
 
-def bba_action(buffer_s, bitrates=BITRATES_KBPS, reservoir=5.0, cushion=10.0):
+def bba_action(buffer_s, bitrates=BITRATES_KBPS):
     """Linear buffer-based bitrate choice.
 
     At or below the reservoir pick the lowest level; at or above
     reservoir+cushion pick the highest; in between pick the largest bitrate
     not exceeding the linear interpolation between the two extremes.
     """
-    if buffer_s <= reservoir:
+    if buffer_s <= BBA_RESERVOIR_S:
         return 0
-    if buffer_s >= reservoir + cushion:
+    if buffer_s >= BBA_RESERVOIR_S + BBA_CUSHION_S:
         return len(bitrates) - 1
-    target = bitrates[0] + (buffer_s - reservoir) / cushion * (bitrates[-1] - bitrates[0])
+    target = bitrates[0] + ((buffer_s - BBA_RESERVOIR_S) / BBA_CUSHION_S
+                            * (bitrates[-1] - bitrates[0]))
     level = 0
     for i, b in enumerate(bitrates):
         if b <= target:
@@ -141,8 +145,8 @@ class UserGroupParams:
             raise ConfigError("ou_theta must be in (0, 1]")
         if not self.ou_sigma >= 0:
             raise ConfigError("ou_sigma must be non-negative")
-        if not self.dwell_s >= 1:
-            raise ConfigError("dwell_s must be at least 1 s")
+        if not self.dwell_s >= 1 or self.dwell_s % 1 != 0:
+            raise ConfigError("dwell_s must be a whole number of seconds, at least 1")
         if not self.floor_kbps > 0:
             raise ConfigError("floor_kbps must be positive")
 
@@ -179,8 +183,7 @@ class BandwidthGen:
     def __init__(self, params, rng):
         self.params = params
         self.rng = rng
-        self.kernel = np.asarray(params.kernel, dtype=np.float64)
-        self.cum = np.cumsum(self.kernel, axis=1).tolist()
+        self.cum = np.cumsum(np.asarray(params.kernel, dtype=np.float64), axis=1).tolist()
 
     def generate(self, duration_s):
         p = self.params
@@ -211,10 +214,10 @@ class AbrSession:
 
     def __init__(self, spec, trace_kbps, mu=DEFAULT_MU):
         self.spec = spec
-        self.trace = np.asarray(trace_kbps, dtype=np.float64)
-        if self.trace.size == 0 or np.any(self.trace <= 0):
+        trace = np.asarray(trace_kbps, dtype=np.float64)
+        if trace.size == 0 or np.any(trace <= 0):
             raise ConfigError("bandwidth trace must be positive")
-        self._kbps = self.trace.tolist()  # Python floats for `_download`'s walk
+        self._kbps = trace.tolist()  # Python floats for `_download`'s walk
         if mu < 0:
             raise ConfigError("mu must be non-negative")
         self.mu = mu

@@ -3,7 +3,7 @@
 Subcommands:
   run         execute one experiment (config from flags or a JSON file)
   cross-eval  frozen-policy transfer between two workloads
-  aggregate   pooled box statistics from timeseries CSV files
+  aggregate   pooled box statistics per workload from timeseries CSV files
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence recorded.
 """
@@ -19,11 +19,11 @@ import sys
 from dataclasses import fields, replace
 
 from .errors import ConfigError
-from .harness import (ExperimentConfig, abr_defaults, aggregate_boxstats,
-                      aggregate_timeseries_files, cross_eval, paper_scale,
+from .harness import (ExperimentConfig, abr_defaults, cross_eval, paper_scale,
                       paper_scale_fields, pretrain_checkpoint, run_experiment,
                       scenario_cyclic, scenario_new_workload,
                       scenario_rare_reoccur, scenario_stationary)
+from .stats import BoxStats
 
 
 # `run` rejects each of these that is given and `_build_scenario` does not read
@@ -62,9 +62,13 @@ def _flags(names):
 
 # `run`'s flags named for ExperimentConfig fields, each parsed to its field's
 # type; ExperimentConfig checks the values, so a bad one is a config error
-_FIELD_FLAGS = ("env", "learner", "expert_mode", "buffer", "t_c", "episode_len",
-                "lr", "gamma", "entropy_start", "entropy_epochs", "reward_scale",
-                "guard_anneal_epochs", "workload_info", "detector", "label_noise")
+_FIELD_FLAGS = ("seed", "out_dir", "env", "learner", "expert_mode", "buffer", "t_c",
+                "episode_len", "lr", "gamma", "entropy_start", "entropy_epochs",
+                "reward_scale", "guard_anneal_epochs", "workload_info", "detector",
+                "label_noise")
+# the field flags `run` needs without --config; with it, each one given
+# replaces the file's value
+_CONFIG_OVERRIDES = ("seed", "out_dir")
 
 
 def _cmd_run(args):
@@ -72,19 +76,22 @@ def _cmd_run(args):
     # order; each is popped where it is read, and the rest set config fields
     given = vars(args)
     del given["cmd"], given["fn"]
-    seed, out_dir = given.pop("seed"), given.pop("out_dir")
     if "config" in given:
         path = given.pop("config")
-        if given:
+        other = [name for name in given if name not in _CONFIG_OVERRIDES]
+        if other:
             raise ConfigError(f"with --config, give only --seed and --out-dir, "
-                              f"not {_flags(given)}")
+                              f"not {_flags(other)}")
         try:
             with open(path) as fh:
                 obj = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from None
-        cfg = replace(ExperimentConfig.from_json(obj), seed=seed, out_dir=out_dir)
+        cfg = replace(ExperimentConfig.from_json(obj), **given)
     else:
+        missing = [name for name in _CONFIG_OVERRIDES if name not in given]
+        if missing:
+            raise ConfigError(f"without --config, give {_flags(missing)}")
         env = given.pop("env", "straggler")
         base = (abr_defaults(scenario_stationary("UG1", 1)) if env == "abr"
                 else ExperimentConfig(scenario=scenario_stationary("A", 1)))
@@ -102,7 +109,9 @@ def _cmd_run(args):
             raise ConfigError(f"--scenario {name} does not read {_flags(unread)}")
         safeguard = not given.pop("no_safeguard", False)
         cfg = replace(base, scenario=scenario, env=env, safeguard=safeguard,
-                      seed=seed, out_dir=out_dir, t_c=t_c, **given)
+                      t_c=t_c, **given)
+    if not cfg.out_dir:     # the run would write nothing
+        raise ConfigError("the output directory is empty: give --out-dir")
     summary = run_experiment(cfg)
     print(f"done: {len(summary.epochs)} epochs, "
           f"post-convergence from {summary.post_convergence_from}, "
@@ -139,13 +148,35 @@ def _cmd_cross_eval(args):
 
 
 def _cmd_aggregate(args):
-    groups = aggregate_timeseries_files(args.inputs, group_col=args.group_col)
-    rows = aggregate_boxstats(groups)
+    # every row with a metric counts, exploration epochs included; the inputs
+    # are read in full before `--out` is opened, so a bad one writes nothing
+    groups = {}
+    for path in args.inputs:
+        try:
+            fh = open(path, newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
+        with fh:
+            reader = csv.DictReader(fh)
+            missing = sorted({"metric", "workload_true"} - set(reader.fieldnames or ()))
+            if missing:
+                raise ConfigError(f"{path} has no column {', '.join(missing)}")
+            for row in reader:
+                if row["metric"] == "":
+                    continue
+                try:
+                    value = float(row["metric"])
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{path} line {reader.line_num}: metric "
+                                      f"{row['metric']!r} is not a number") from None
+                groups.setdefault(row["workload_true"], []).append(value)
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else _open_out(args.out)) as out:
         w = csv.writer(out)
-        w.writerow([args.group_col, "p1", "p25", "p50", "p75", "p99", "mean", "count"])
-        w.writerows(rows)
+        w.writerow(["workload_true", "p1", "p25", "p50", "p75", "p99", "mean", "count"])
+        for key in sorted(groups):
+            stats = BoxStats.from_values(groups[key])
+            w.writerow([key, *(f"{v:.6f}" for v in stats.row()), stats.count])
     return 0
 
 
@@ -158,9 +189,7 @@ def build_parser():
                        argument_default=argparse.SUPPRESS)
     r.add_argument("--config",
                    help="JSON config file; with it, no flag but --seed and "
-                        "--out-dir may be given")
-    r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--out-dir", required=True)
+                        "--out-dir may be given, each replacing the file's value")
     r.add_argument("--scenario",
                    help="I | II | III | drift | fastswitch | stationary:<KEY>; "
                         "II, III, drift and fastswitch are straggler scenarios")
@@ -191,9 +220,8 @@ def build_parser():
     c.add_argument("--out", default="")
     c.set_defaults(fn=_cmd_cross_eval)
 
-    a = sub.add_parser("aggregate", help="pooled box stats from timeseries files")
+    a = sub.add_parser("aggregate", help="pooled box stats per workload from timeseries files")
     a.add_argument("--inputs", nargs="+", required=True)
-    a.add_argument("--group-col", default="workload_true")
     a.add_argument("--out", default="-")
     a.set_defaults(fn=_cmd_aggregate)
 

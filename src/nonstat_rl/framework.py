@@ -47,9 +47,7 @@ class GmmDetector:
         self.weights = None
         self.fitted = False
         self.degenerate = False
-        self._reported = None
-        self._pending = None
-        self._pending_count = 0
+        self._reset_readout()
 
     def fit(self, history):
         """EM fit. Requires at least 10 samples per component."""

@@ -1,5 +1,5 @@
 """Experiment orchestration: workload schedules, the observe/detect/guard/
-act/learn control loop, baselines, metric aggregation, and CSV emission.
+act/learn control loop, baselines, run summaries, and CSV emission.
 
 A run is driven by an `ExperimentConfig` and produces a `RunSummary` plus
 (if `out_dir` is set) `timeseries.csv` and `detections.csv`, written as
@@ -888,45 +888,3 @@ def cross_eval(train_key, test_key, ckpt_dir, cfg, eval_epochs=25, seed=1234):
     if abs(denom) < 1e-9:
         raise ConfigError("degenerate normalization: matched policy equals no-hedging")
     return (l_nohedge - l_policy) / denom
-
-
-# --------------------------------------------------------------------------
-# aggregation
-
-
-def aggregate_boxstats(groups):
-    """Pooled box statistics per group: {key: values} -> rows of
-    [group, p1, p25, p50, p75, p99, mean, count]; empty groups are omitted."""
-    rows = []
-    for key in sorted(groups):
-        vals = [v for v in groups[key] if v is not None]
-        if not vals:
-            continue
-        stats = BoxStats.from_values(vals)
-        rows.append([key] + [_fmt(v) for v in stats.row()] + [stats.count])
-    return rows
-
-
-def aggregate_timeseries_files(paths, group_col="workload_true"):
-    """Pool metric values from timeseries.csv files, grouped by a column."""
-    groups = {}
-    for path in paths:
-        try:
-            fh = open(path, newline="")
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from None
-        with fh:
-            reader = csv.DictReader(fh)
-            missing = sorted({"metric", group_col} - set(reader.fieldnames or ()))
-            if missing:
-                raise ConfigError(f"{path} has no column {', '.join(missing)}")
-            for row in reader:
-                if row["metric"] == "":
-                    continue
-                try:
-                    value = float(row["metric"])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{path} line {reader.line_num}: metric "
-                                      f"{row['metric']!r} is not a number") from None
-                groups.setdefault(row[group_col], []).append(value)
-    return groups

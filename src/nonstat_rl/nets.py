@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, UsageError
 
+ADAM_BETAS = (0.9, 0.999)  # `Adam`'s first- and second-moment decay rates
+
 
 def softmax(logits):
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -184,11 +186,8 @@ class Adam:
     parameters and state as they were.
     """
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=1e-4):
+    def __init__(self, params, lr=0.001, eps=1e-8, weight_decay=1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
@@ -198,17 +197,18 @@ class Adam:
     def step(self, params, grad):
         if params.shape != self.m.shape or grad.shape != self.m.shape:
             raise ConfigError("parameter or gradient vector does not match the optimizer")
+        beta1, beta2 = ADAM_BETAS
         t = self.t + 1
-        b1c = 1.0 - self.beta1 ** t
-        b2c = 1.0 - self.beta2 ** t
+        b1c = 1.0 - beta1 ** t
+        b2c = 1.0 - beta2 ** t
         # overflow here is not an error in itself: the check below turns
         # any non-finite second moment into a DivergenceError
         with np.errstate(over="ignore"):
-            m = self.m * self.beta1
-            m += (1.0 - self.beta1) * grad
-            gg = (1.0 - self.beta2) * grad
+            m = self.m * beta1
+            m += (1.0 - beta1) * grad
+            gg = (1.0 - beta2) * grad
             gg *= grad
-            v = self.v * self.beta2
+            v = self.v * beta2
             v += gg
             denom = v / b2c
         np.sqrt(denom, out=denom)

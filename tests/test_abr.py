@@ -5,6 +5,8 @@ ABR case, its only owner).
 Oracle for the buffer dynamics: an independently coded single-step update
 applied alongside the session."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -184,6 +186,7 @@ class TestBandwidthGen:
     @pytest.mark.parametrize("field,value", [
         ("ou_sigma", -1.0),      # drew no noise at all
         ("dwell_s", 0.5),        # became a 1 s dwell
+        ("dwell_s", 2.5),        # became a 2 s dwell
         ("floor_kbps", 0.0),     # let a trace reach 0, failing a later session
     ])
     def test_misread_parameters_rejected(self, field, value):
@@ -266,6 +269,34 @@ class TestBandwidthDistribution:
         assert np.all(changes % dwell == 0)
         runs_s = np.diff(np.concatenate([[0], changes, [len(trace)]]))
         assert abs(runs_s.mean() / dwell - 1.0 / (1.0 - stay)) < 0.4
+
+    @pytest.mark.parametrize("name", sorted(USER_GROUPS))
+    def test_user_group_mean_is_the_state_mean_plus_the_floor_term(self, name):
+        # A session starts from a uniform state, the stationary distribution
+        # of every symmetric `_sticky` kernel, so each second's level is
+        # uniform over the states. The OU term y_t is N(0, v_t), independent
+        # of the level, with v_t its variance t seconds in. So a second's
+        # expected bandwidth is the mean over levels L of
+        # E[max(floor, L + y_t)] = L + a Phi(a / s) + s phi(a / s), with
+        # a = floor - L and s = sqrt(v_t). A session's mean varies no more
+        # than one second does, whose variance is below var(states) +
+        # sigma^2 / (theta (2 - theta)); the margin is 4 such standard errors.
+        p = USER_GROUPS[name]
+        seconds, sessions = 200, 400
+        gen = BandwidthGen(p, np.random.default_rng(21))
+        got = np.mean([gen.generate(seconds).mean() for _ in range(sessions)])
+        decay = (1.0 - p.ou_theta) ** 2
+        want = 0.0
+        for t in range(1, seconds + 1):
+            s = p.ou_sigma * math.sqrt((1.0 - decay**t) / (1.0 - decay))
+            for level in p.states_kbps:
+                a = p.floor_kbps - level
+                cdf = 0.5 * (1.0 + math.erf(a / s / math.sqrt(2.0)))
+                pdf = math.exp(-0.5 * (a / s) ** 2) / math.sqrt(2.0 * math.pi)
+                want += level + a * cdf + s * pdf
+        want /= seconds * len(p.states_kbps)
+        se = math.sqrt((np.var(p.states_kbps) + p.ou_sigma**2 / (1.0 - decay)) / sessions)
+        assert abs(got - want) < 4 * se
 
 
 class TestVideoSpec:

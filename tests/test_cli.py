@@ -2,8 +2,10 @@
 
 import csv
 import json
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from nonstat_rl import cli, harness
@@ -37,6 +39,55 @@ def test_run_with_config_file(tmp_path):
     assert rc == 0
     with open(out / "config.json") as fh:
         assert json.load(fh)["seed"] == 9
+
+
+def test_config_file_run_repeats_itself_with_its_own_seed(tmp_path):
+    # a run's own config.json, fed back with only --out-dir, gives the same
+    # rows; --seed still replaces the file's seed
+    first, again, reseeded = (tmp_path / n for n in ("first", "again", "reseeded"))
+    assert main(["run", "--seed", "4", "--out-dir", str(first),
+                 "--scenario", "stationary:C", "--epochs", "3", "--t-c", "2",
+                 "--episode-len", "6", "--entropy-epochs", "2"]) == 0
+    config = str(first / "config.json")
+    assert main(["run", "--config", config, "--out-dir", str(again)]) == 0
+    assert main(["run", "--config", config, "--out-dir", str(reseeded),
+                 "--seed", "5"]) == 0
+    for name in ("timeseries.csv", "detections.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    assert (reseeded / "timeseries.csv").read_bytes() != (first / "timeseries.csv").read_bytes()
+    with open(reseeded / "config.json") as fh:
+        assert json.load(fh)["seed"] == 5
+
+
+def test_config_file_run_without_out_dir_writes_into_its_own(tmp_path, monkeypatch):
+    configs = stub_run(monkeypatch)
+    obj = ExperimentConfig(scenario=scenario_stationary("C", 3), seed=77,
+                           out_dir=str(tmp_path / "elsewhere")).to_json()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["run", "--out-dir", "o", "--config", str(path)]) == 0
+    assert [(cfg.seed, cfg.out_dir) for cfg in configs] == [
+        (77, str(tmp_path / "elsewhere")), (77, "o")]
+    # a file without an out_dir of its own needs --out-dir
+    path.write_text(json.dumps(dict(obj, out_dir="")))
+    assert main(["run", "--config", str(path)]) == 2
+    assert len(configs) == 2
+
+
+@pytest.mark.parametrize("flags, missing", [
+    (["--out-dir", "x"], "--seed"),
+    (["--seed", "1"], "--out-dir"),
+    ([], "--seed, --out-dir"),
+], ids=["no-seed", "no-out-dir", "neither"])
+def test_run_without_config_needs_seed_and_out_dir(flags, missing, capsys, monkeypatch):
+    configs = stub_run(monkeypatch)
+    rc = main(["run", "--scenario", "stationary:C", *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(missing)
+    assert configs == []
 
 
 def test_unknown_scenario_is_config_error(tmp_path):
@@ -141,33 +192,67 @@ def test_scenario_flags_where_read_build_the_schedule(tmp_path, monkeypatch):
     assert drift.total_epochs == 7
 
 
-def test_aggregate(tmp_path):
-    ts = tmp_path / "ts.csv"
-    with open(ts, "w", newline="") as fh:
+def write_timeseries(path, rows):
+    """A timeseries.csv holding one row per (workload, metric) in `rows`."""
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "t_ms", "workload_true", "workload_detected",
                     "controller", "metric"])
-        for i, (wk, m) in enumerate([("A", 1.0), ("A", 3.0), ("B", 10.0)]):
+        for i, (wk, m) in enumerate(rows):
             w.writerow([i, 0, wk, 0, "agent", m])
+    return str(path)
+
+
+def aggregate(tmp_path, *inputs):
     out = tmp_path / "agg.csv"
-    assert main(["aggregate", "--inputs", str(ts), "--out", str(out)]) == 0
-    rows = read_rows(out)
+    assert main(["aggregate", "--inputs", *inputs, "--out", str(out)]) == 0
+    return read_rows(out)
+
+
+def test_aggregate(tmp_path):
+    ts = write_timeseries(tmp_path / "ts.csv", [("A", 1.0), ("A", 3.0), ("B", 10.0)])
+    rows = aggregate(tmp_path, ts)
     assert [r["workload_true"] for r in rows] == ["A", "B"]
     assert float(rows[0]["count"]) == 2
 
 
-@pytest.mark.parametrize("header, flags", [
-    (None, []),
-    ("epoch,workload_true", []),
-    ("workload_true,metric", ["--group-col", "bogus"]),
-    ("metric,workload_true", []),
-], ids=["missing-file", "no-metric-column", "unknown-group-col", "non-numeric-metric"])
-def test_aggregate_bad_input_exits_2_with_one_line(header, flags, tmp_path, capsys):
+def test_aggregate_single_constant_group(tmp_path):
+    rows = aggregate(tmp_path, write_timeseries(tmp_path / "ts.csv", [("g", 5.0)] * 10))
+    assert [rows[0][p] for p in ("p1", "p25", "p50", "p75", "p99")] == ["5.000000"] * 5
+
+
+def test_aggregate_pools_files_like_a_sort_oracle(tmp_path):
+    rng = np.random.default_rng(8)
+    a, b = rng.lognormal(1, 1, 300), rng.lognormal(2, 0.5, 200)
+    rows = aggregate(tmp_path,
+                     write_timeseries(tmp_path / "a.csv", [("g", v) for v in a]),
+                     write_timeseries(tmp_path / "b.csv", [("g", v) for v in b]))
+    pooled = np.sort(np.concatenate([a, b]))
+    want = pooled[max(0, math.ceil(0.5 * pooled.size) - 1)]
+    assert float(rows[0]["p50"]) == pytest.approx(want, abs=1e-6)
+    assert int(rows[0]["count"]) == 500
+
+
+def test_aggregate_reads_a_run_timeseries(tmp_path):
+    run = tmp_path / "run"
+    assert main(["run", "--seed", "5", "--out-dir", str(run),
+                 "--scenario", "stationary:C", "--epochs", "3", "--t-c", "2",
+                 "--episode-len", "6"]) == 0
+    rows = aggregate(tmp_path, str(run / "timeseries.csv"))
+    assert [r["workload_true"] for r in rows] == ["C"]
+    assert int(rows[0]["count"]) == 3       # every epoch, exploration included
+
+
+@pytest.mark.parametrize("header", [
+    None, "epoch,workload_true", "epoch,metric", "metric,workload_true",
+], ids=["missing-file", "no-metric-column", "no-workload-column",
+        "non-numeric-metric"])
+def test_aggregate_bad_input_exits_2_with_one_line(header, tmp_path, capsys):
     ts = tmp_path / "ts.csv"
     if header is not None:
         ts.write_text(header + "\nA,1.0\n")
     out = tmp_path / "agg.csv"
-    rc = main(["aggregate", "--inputs", str(ts), "--out", str(out), *flags])
+    rc = main(["aggregate", "--inputs", str(ts), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: ") and err.count("\n") == 1
@@ -260,6 +345,7 @@ def _json(**changes):
     ["--detector", "gmm", "--label-noise", "0.2"],
     _json(lr=10**400),          # an int beyond float range
     _json(scenario={"name": ["s"], "dwells": [["C", 3]]}),
+    ["--out-dir", ""],
 ], ids=["unknown-json-key", "json-scenario-without-name", "json-bool-dwell",
         "json-float-dwell", "json-string-number",
         "json-malformed-widths", "unknown-workload", "workload-of-other-env",
@@ -274,7 +360,7 @@ def _json(**changes):
         "zero-t-c", "zero-t-sw", "zero-epochs", "json-string-bool", "json-int-bool",
         "json-list-env", "negative-seed", "nan-lr", "json-inf-entropy-start",
         "json-inf-reward-scale", "gmm-label-noise", "json-int-lr-beyond-float",
-        "json-list-scenario-name"])
+        "json-list-scenario-name", "empty-out-dir"])
 def test_invalid_config_exits_2_with_one_line(flags, tmp_path, capsys):
     if callable(flags):
         flags = flags(tmp_path)

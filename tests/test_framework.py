@@ -34,6 +34,21 @@ class TestGmmFit:
         assert det.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(det.variances >= 1e-6)
 
+    def test_three_component_mixture_means_recovered(self):
+        # components over 10 standard deviations apart: each sample's posterior is
+        # all but certain, so a fitted mean is its component's sample mean,
+        # within 5 standard errors (sd / sqrt(n_k)) of the true mean, and the
+        # fitted weights are the component shares
+        means = np.array([[0.0, 0.0], [20.0, -20.0], [40.0, 20.0]])
+        sds = np.array([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]])
+        counts = np.array([150, 250, 200])
+        rng = np.random.default_rng(31)
+        x = rng.permutation(np.concatenate(
+            [rng.normal(m, s, size=(c, 2)) for m, s, c in zip(means, sds, counts)]))
+        det = GmmDetector(3, seed=0).fit(x)
+        assert np.all(np.abs(det.means - means) < 5 * sds / np.sqrt(counts)[:, None])
+        assert det.weights == pytest.approx(counts / counts.sum(), abs=1e-6)
+
     def test_single_component_mean_is_sample_mean(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 3))

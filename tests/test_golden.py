@@ -15,6 +15,8 @@ the file bytes themselves vary between runs).
 To print fresh digests and values: ``python tests/test_golden.py``.
 """
 
+import ctypes
+import glob
 import hashlib
 import os
 import random
@@ -32,6 +34,24 @@ from nonstat_rl.harness import (
 from nonstat_rl.straggler import TIMEOUTS_MS, WORKLOAD_PRESETS, StragglerSim
 
 ARTIFACTS = ("timeseries.csv", "detections.csv", "summary.csv", "status.json")
+
+
+def openblas_core():
+    """The kernel numpy's bundled OpenBLAS picked for this CPU, or "unknown"."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+# The values below that pass through matrix products were made under the
+# SkylakeX core. Another core sums in another order, so the last bits of
+# trained parameters differ and a failure there need not be a behaviour change.
+BLAS_NOTE = f"OpenBLAS core {openblas_core()}; the goldens were made under SkylakeX"
 
 # short straggler schedule: 3 dwells of 4 epochs, 24 windows each
 STRAGGLER = dict(t_c=3, episode_len=24, entropy_epochs=3, eps_random_epochs=1,
@@ -124,7 +144,7 @@ def digests(cfg, out_dir):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifact_digests_unchanged(case, tmp_path):
-    assert digests(CASES[case](), str(tmp_path)) == GOLDEN[case]
+    assert digests(CASES[case](), str(tmp_path)) == GOLDEN[case], BLAS_NOTE
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +244,7 @@ def pinned_values():
 
 @pytest.mark.parametrize("name", sorted(EVALUATIONS))
 def test_frozen_policy_evaluation_unchanged(name):
-    assert EVALUATIONS[name]() == PINNED[name]
+    assert EVALUATIONS[name]() == PINNED[name], BLAS_NOTE
 
 
 def test_safeguard_engages_in_evaluation():
@@ -233,8 +253,10 @@ def test_safeguard_engages_in_evaluation():
 
 def test_cross_eval_unchanged(tmp_path):
     cfg = pretrained("a2c", ("A", "C"), str(tmp_path))
-    assert cross_eval("A", "C", str(tmp_path), cfg, eval_epochs=4) == PINNED["cross-eval A->C"]
-    assert cross_eval("C", "A", str(tmp_path), cfg, eval_epochs=4) == PINNED["cross-eval C->A"]
+    assert (cross_eval("A", "C", str(tmp_path), cfg, eval_epochs=4)
+            == PINNED["cross-eval A->C"]), BLAS_NOTE
+    assert (cross_eval("C", "A", str(tmp_path), cfg, eval_epochs=4)
+            == PINNED["cross-eval C->A"]), BLAS_NOTE
 
 
 @pytest.mark.parametrize("learner, keys, files", [
@@ -245,7 +267,7 @@ def test_pretrained_checkpoint_arrays_unchanged(learner, keys, files, tmp_path):
     pretrained(learner, keys, str(tmp_path))
     digest, paths = array_digest(str(tmp_path))
     assert paths == files
-    assert digest == PINNED[f"pretrain-{learner}"]
+    assert digest == PINNED[f"pretrain-{learner}"], BLAS_NOTE
 
 
 @pytest.mark.parametrize("name, case, files", [
@@ -261,7 +283,7 @@ def test_run_checkpoint_arrays_unchanged(name, case, files, tmp_path):
     run_experiment(cfg)
     digest, paths = array_digest(str(tmp_path))
     assert paths == files
-    assert digest == PINNED[name]
+    assert digest == PINNED[name], BLAS_NOTE
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Harness behavior: scenario schedules, run artifacts, reproducibility,
-oracle equivalence, batch-routing audits, cross-evaluation anchors, and
-aggregation."""
+oracle equivalence, batch-routing audits and cross-evaluation anchors."""
 
 import csv
 import gc
@@ -18,10 +17,8 @@ from nonstat_rl.abr import AbrEnv
 from nonstat_rl.errors import ConfigError, DivergenceError
 from nonstat_rl.framework import ExpertManager
 from nonstat_rl.harness import (ExperimentConfig, RunSummary, Scenario,
-                                abr_defaults, aggregate_boxstats,
-                                aggregate_timeseries_files, cross_eval,
-                                evaluate_policy, paper_scale,
-                                pretrain_checkpoint, run_experiment,
+                                abr_defaults, cross_eval, evaluate_policy,
+                                paper_scale, pretrain_checkpoint, run_experiment,
                                 scenario_cyclic, scenario_new_workload,
                                 scenario_rare_reoccur, scenario_stationary)
 from nonstat_rl.straggler import NO_HEDGE_ACTION, StragglerSim
@@ -364,31 +361,6 @@ class TestCrossEval:
         ckpt, cfg = checkpoints
         with pytest.raises(ConfigError):
             cross_eval("B", "A", ckpt, cfg)
-
-
-class TestAggregation:
-    def test_single_constant_group(self):
-        rows = aggregate_boxstats({"g": [5.0] * 10})
-        assert rows[0][1:6] == ["5.000000"] * 5
-
-    def test_pooled_matches_sort_oracle(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.lognormal(1, 1, 300), rng.lognormal(2, 0.5, 200)
-        rows = aggregate_boxstats({"g": list(a) + list(b)})
-        pooled = np.sort(np.concatenate([a, b]))
-        import math
-        want = pooled[max(0, math.ceil(0.5 * pooled.size) - 1)]
-        assert float(rows[0][3]) == pytest.approx(want, abs=1e-6)
-
-    def test_empty_group_omitted(self):
-        rows = aggregate_boxstats({"empty": [], "full": [1.0]})
-        assert [r[0] for r in rows] == ["full"]
-
-    def test_timeseries_file_grouping(self, tmp_path):
-        out = tmp_path / "run"
-        run_experiment(tiny_cfg(out_dir=str(out)))
-        groups = aggregate_timeseries_files([str(out / "timeseries.csv")])
-        assert "C" in groups and len(groups["C"]) > 0
 
 
 class TestDetectorModes:
