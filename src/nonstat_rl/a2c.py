@@ -8,7 +8,9 @@ to zero. Batches are on-policy: a batch object can be consumed exactly once.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,8 +107,10 @@ class A2cLearner:
 
     def act(self, obs, rng):
         """Sample an action from the current policy."""
-        probs = self.actor.forward(obs)
-        return int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
+        # `cum` is `np.cumsum(probs)`, and `cum[-1]` is `probs.sum()` bit for bit:
+        # numpy sums fewer than 8 elements in that order (6 and 7 actions here)
+        cum = list(accumulate(self.actor.forward(obs).tolist()))
+        return bisect_left(cum, rng.random() * cum[-1])
 
     def batch_advantages(self, batch):
         """GAE advantages and returns for every step of the batch, in order."""

@@ -37,10 +37,6 @@ class DqnLearner:
         self.opt = Adam(qnet.params, lr=lr, weight_decay=weight_decay)
         self.updates = 0
 
-    @property
-    def n_actions(self):
-        return self.online.out_dim
-
     def save(self, directory):
         """Checkpoint the online net as `qnet.npz` into `directory`."""
         os.makedirs(directory, exist_ok=True)
@@ -55,7 +51,7 @@ class DqnLearner:
 
     def act(self, obs, rng, schedule_epoch):
         if rng.random() < self.epsilon(schedule_epoch):
-            return int(rng.integers(self.n_actions))
+            return int(rng.integers(self.online.out_dim))
         return int(np.argmax(self.online.forward(obs)))
 
     def bellman_targets(self, rewards, next_states, dones):

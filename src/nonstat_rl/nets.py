@@ -5,8 +5,10 @@ a softmax or identity head, an `Adam` optimizer with decoupled weight decay,
 and a `DeepSetsEncoder` that reads a flat observation holding a fixed-size
 set of per-element vectors, embeds each, sums the embeddings, and maps the
 pooled vector (plus a "tail" of extra features) through a second network.
-Sizes are tiny (hidden widths up to 64), so there is no need for anything
-faster.
+Sizes are tiny (hidden widths up to 64), so a call costs mostly numpy
+overhead: each layer works in place on its own fresh `x @ w.T` product, with
+the plain `x @ w.T + b` shapes and strides, and `tests/test_nets_bit_identity.py`
+pins the bits.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, UsageError
 
 ADAM_BETAS = (0.9, 0.999)  # `Adam`'s first- and second-moment decay rates
+ADAM_EPS = 1e-8            # added to `Adam`'s root second moment
 
 
 def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax in a fresh array; `logits` is left as it was."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _views(vec, shapes):
@@ -90,22 +95,20 @@ class _FlatNet:
 
     def set_parameters(self, params):
         own = self.parameters()
-        if len(own) != len(params):
-            raise ConfigError("parameter count mismatch")
+        if [p.shape for p in own] != [np.shape(p) for p in params]:
+            raise ConfigError("parameter count or shapes mismatch")
         for dst, src in zip(own, params):
-            if dst.shape != np.shape(src):
-                raise ConfigError("parameter shape mismatch")
             dst[...] = src
 
 
 class Mlp(_FlatNet):
     """Fully-connected net: ReLU hidden layers, softmax or identity head.
 
-    `forward` is inference-only; `forward_train` additionally caches
-    activations so `backward` can produce parameter gradients for an
-    arbitrary upstream gradient on the outputs, and the (batch, width) input
-    gradient on `grad_input`. Weights start fan-in scaled uniform, biases at
-    zero.
+    `forward` is inference-only; `forward_train` additionally caches each
+    layer's input so `backward` can produce parameter gradients for an
+    arbitrary upstream gradient on the outputs. The (batch, width) input
+    gradient is `grad_input`, computed only when read. Weights start fan-in
+    scaled uniform, biases at zero.
     """
 
     def __init__(self, widths, head="identity", rng=None):
@@ -115,7 +118,7 @@ class Mlp(_FlatNet):
             raise ConfigError(f"unknown head {head!r}")
         self.widths = list(widths)
         self.head = head
-        self.in_dim = widths[0]
+        self.in_dim, self.out_dim = widths[0], widths[-1]
         rng = rng if rng is not None else np.random.default_rng(0)
         self._shapes = [shape for n_in, n_out in zip(widths[:-1], widths[1:])
                         for shape in ((n_out, n_in), (n_out,))]
@@ -131,44 +134,51 @@ class Mlp(_FlatNet):
         views = _views(params, self._shapes)
         self.weights, self.biases = views[0::2], views[1::2]
         self._grads = _views(grad, self._shapes)
-
-    @property
-    def out_dim(self):
-        return self.widths[-1]
+        # each bias as a (1, n) row: the same add, without the 1-D broadcast
+        layers = [(w.T, b[None, :]) for w, b in zip(self.weights, self.biases)]
+        self._hidden, self._top = layers[:-1], layers[-1]
 
     def _forward(self, x, train):
-        """The layer loop; with `train`, keeps each layer's (input,
-        pre-activation) pair and the output for `_backward`."""
-        layers = []
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = x @ w.T + b
-            if train:
-                layers.append((x, z))
-            x = np.maximum(z, 0.0) if i < last else z
-        out = softmax(x) if self.head == "softmax" else x
+        """The layer loop; with `train`, keeps each layer's input and the
+        output for `_backward`."""
+        inputs = [x]
+        for w_t, b in self._hidden:
+            x = x @ w_t
+            x += b
+            np.maximum(x, 0.0, out=x)
+            inputs.append(x)
+        w_t, b = self._top
+        out = x @ w_t
+        out += b
+        if self.head == "softmax":
+            out = softmax(out)
         if train:
-            self._cache = (layers, out)
+            self._cache = (inputs, out)
         return out
 
     def _backward(self, g):
-        layers, out = self._cache
+        inputs, out = self._cache
         if self.head == "softmax":
             # dL/dz = p * (g - <g, p>) row-wise
             dz = out * (g - (g * out).sum(axis=-1, keepdims=True))
         else:
             dz = g
 
-        last = len(self.weights) - 1
+        last = len(self._hidden)
         for i in range(last, -1, -1):
-            a, z = layers[i]
-            if i < last:
-                dz = dz * (z > 0.0)
-            np.matmul(dz.T, a, out=self._grads[2 * i])
+            if i < last:  # layer i's ReLU passed where layer i + 1's input > 0
+                dz *= inputs[i + 1] > 0.0
+            np.matmul(dz.T, inputs[i], out=self._grads[2 * i])
             dz.sum(axis=0, out=self._grads[2 * i + 1])
             if i > 0:
                 dz = dz @ self.weights[i]
-        self.grad_input = dz @ self.weights[0]
+        self._grad_first = dz  # dLoss/d(first layer's output)
+
+    @property
+    def grad_input(self):
+        """dLoss/d(input) of the last `backward`, (batch, width), computed
+        from the current weights: read it before they change."""
+        return self._grad_first @ self.weights[0]
 
     def spec(self):
         """Constructor arguments, as a checkpoint's `meta` entry stores them."""
@@ -186,9 +196,8 @@ class Adam:
     parameters and state as they were.
     """
 
-    def __init__(self, params, lr=0.001, eps=1e-8, weight_decay=1e-4):
+    def __init__(self, params, lr=0.001, weight_decay=1e-4):
         self.lr = lr
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = np.zeros_like(params)
@@ -212,7 +221,7 @@ class Adam:
             v += gg
             denom = v / b2c
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         if not np.isfinite(denom).all():
             raise DivergenceError("non-finite gradient or second moment")
         update = m / b1c
@@ -244,6 +253,7 @@ class DeepSetsEncoder(_FlatNet):
         self.elem_dim = elem_dim
         self.tail_dim = tail_dim
         self.n_set = n_set
+        self.head, self.out_dim = head, out_dim
         self.in_dim = n_set * elem_dim + tail_dim
         self.embed_dim = phi_widths[-1]
         self.phi = Mlp([elem_dim, *phi_widths], head="identity", rng=rng)
@@ -256,14 +266,6 @@ class DeepSetsEncoder(_FlatNet):
         self.phi._bind(self.params[:cut], self.grad[:cut])
         self.rho._bind(self.params[cut:], self.grad[cut:])
         self._grads = self.phi._grads + self.rho._grads
-
-    @property
-    def head(self):
-        return self.rho.head
-
-    @property
-    def out_dim(self):
-        return self.rho.out_dim
 
     def _forward(self, x, train):
         """rho(sum_i phi(element_i) ++ tail), one element row per server."""
@@ -284,16 +286,9 @@ class DeepSetsEncoder(_FlatNet):
 
     def spec(self):
         """Constructor arguments, as a checkpoint's `meta` entry stores them."""
-        return {
-            "kind": "deepsets",
-            "elem_dim": self.elem_dim,
-            "tail_dim": self.tail_dim,
-            "out_dim": self.rho.out_dim,
-            "phi_widths": self.phi.widths[1:],
-            "rho_hidden": self.rho.widths[1:-1],
-            "head": self.rho.head,
-            "n_set": self.n_set,
-        }
+        return {"kind": "deepsets", "elem_dim": self.elem_dim, "tail_dim": self.tail_dim,
+                "out_dim": self.out_dim, "phi_widths": self.phi.widths[1:],
+                "rho_hidden": self.rho.widths[1:-1], "head": self.head, "n_set": self.n_set}
 
 
 # --------------------------------------------------------------------------
