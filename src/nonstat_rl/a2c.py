@@ -8,7 +8,7 @@ to zero. Batches are on-policy: a batch object can be consumed exactly once.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -110,7 +110,10 @@ class A2cLearner:
         # `cum` is `np.cumsum(probs)`, and `cum[-1]` is `probs.sum()` bit for bit:
         # numpy sums fewer than 8 elements in that order (6 and 7 actions here)
         cum = list(accumulate(self.actor.forward(obs).tolist()))
-        return bisect_left(cum, rng.random() * cum[-1])
+        x = rng.random() * cum[-1]
+        # a draw of exactly 0 takes the first action with positive probability;
+        # any other draw, the first action whose running sum reaches it
+        return bisect_left(cum, x) if x > 0 else bisect_right(cum, 0.0)
 
     def batch_advantages(self, batch):
         """GAE advantages and returns for every step of the batch, in order."""

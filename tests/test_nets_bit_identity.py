@@ -248,7 +248,9 @@ class _Given:
 def test_act_draw_on_a_running_sum_entry_takes_the_first_action_reaching_it():
     """A draw that lands exactly on an entry of the running sum picks the
     first action whose running sum reaches it, as `np.searchsorted` does.
-    Zero probabilities repeat entries, so the side matters."""
+    Zero probabilities repeat entries, so the side matters. The one
+    exception is a draw of 0.0, which every leading zero-probability
+    action reaches: it takes the first action with positive probability."""
     learner = A2cLearner(abr_net("actor", 0), abr_net("critic", 0), gamma=0.99)
     for probs in ([0.25, 0.0, 0.25, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0, 0.25, 0.25, 0.0]):
         probs = np.array(probs)
@@ -256,7 +258,29 @@ def test_act_draw_on_a_running_sum_entry_takes_the_first_action_reaching_it():
         learner.actor = _Given(probs)
         got = [learner.act(None, _Given(draws=[d])) for d in draws]
         want = [reference_act(learner.actor, None, _Given(draws=[d])) for d in draws]
+        if probs[0] == 0.0:
+            want[0] = 2
         assert got == want
+
+
+@pytest.mark.parametrize("case", ["abr", "straggler"])
+def test_act_zero_draw_never_takes_a_zero_probability_action(case):
+    """Saturated policy rows hold exact zeros, leading ones included; a
+    draw of 0.0 on them still takes an action with positive probability."""
+    make, width = {"abr": (abr_net, ABR_WIDTH),
+                   "straggler": (straggler_net, STRAGGLER_WIDTH)}[case]
+    leading = 0
+    for seed in range(3):
+        learner = A2cLearner(make("actor", seed), make("critic", seed), gamma=0.99)
+        for row in observations(np.random.default_rng(seed + 70), 600, width):
+            probs = learner.actor.forward(row)
+            if not (probs == 0.0).any():
+                continue
+            leading += probs[0] == 0.0
+            got = learner.act(row, _Given(draws=[0.0]))
+            assert probs[got] > 0.0
+            assert probs[:got].sum() == 0.0
+    assert leading >= 20
 
 
 @pytest.mark.parametrize("n_actions", [6, 7])
