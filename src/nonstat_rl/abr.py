@@ -16,7 +16,9 @@ with quality q in ladder units (kbps/100). The real session and the
 safeguard's fictitious buffer both follow these two rules. Bandwidth traces
 come from a Markov chain over coarse throughput states with a mean-reverting
 (Ornstein-Uhlenbeck) overlay; five user-group presets span different
-average-bandwidth / per-user-variance / cross-user-diversity profiles.
+average-bandwidth / per-user-variance / cross-user-diversity profiles. Each
+session's trace is one stream, drawn `BLOCK_S` seconds at a time as the
+download walk reaches its end, so a session draws about what it reads.
 
 The training safeguard (`FakeReplayGuard`) hands control to a buffer-based
 default policy (linear BBA) whenever the real buffer is below an annealed
@@ -43,7 +45,7 @@ MAX_BUFFER_S = 25.0
 DEFAULT_MU = 4.3
 QUALITY_PER_KBPS = 0.01  # q in units of kbps/100
 HISTORY_K = 9
-SESSION_TRACE_S = 1600  # bandwidth drawn per session; a session uses ~200 s
+BLOCK_S = 64  # trace seconds a session draws each time its walk reaches the end
 # normalization of `AbrEnv.workload_features` when appended to observations
 FEATURE_SCALES = (2000.0, 600.0, 2000.0, 600.0)
 # `bba_action`'s ramp: lowest level up to the reservoir, highest from reservoir + cushion
@@ -172,36 +174,48 @@ USER_GROUPS = {
 
 
 class BandwidthGen:
-    """Per-second throughput traces from a user-group preset.
+    """One per-second throughput trace from a user-group preset, as a stream.
 
     The stream is a uniform initial state, then per dwell one `random()`
     for the next state (at every boundary after the first) and one
-    standard normal per second for the OU overlay. The normals of a dwell
-    are drawn as one block, which draws the same stream as one at a time.
+    standard normal per second for the OU overlay. `generate(seconds)`
+    returns the next `seconds` of it: the first call draws the initial
+    state, and later calls carry on from the state, OU value and place in
+    the dwell where the last one stopped. So calls of any lengths give,
+    concatenated, the values and leave the generator where one call of the
+    total length would. A dwell's normals are drawn as one block, up to the
+    end of the call, which draws the same stream as one at a time. Build
+    one generator per trace; generators may share `rng`.
     """
 
     def __init__(self, params, rng):
         self.params = params
         self.rng = rng
         self.cum = np.cumsum(np.asarray(params.kernel, dtype=np.float64), axis=1).tolist()
+        self.state = None  # drawn by the first call
+        self.y = 0.0       # the OU overlay
+        self.left = 0      # seconds left in the current dwell
 
     def generate(self, duration_s):
         p = self.params
         n, dwell = int(duration_s), int(p.dwell_s)
         theta, sigma = p.ou_theta, p.ou_sigma
-        state = int(self.rng.integers(len(p.states_kbps)))  # uniform initial distribution
+        state, y, left = self.state, self.y, self.left
+        if state is None:  # uniform initial distribution
+            state, left = int(self.rng.integers(len(p.states_kbps))), dwell
         out = []
-        y = 0.0
-        for start in range(0, n, dwell):
-            if start:  # bisect_left is np.searchsorted's default side
-                state = bisect_left(self.cum[state], self.rng.random())
+        while len(out) < n:
+            if not left:  # bisect_left is np.searchsorted's default side
+                state, left = bisect_left(self.cum[state], self.rng.random()), dwell
             level = p.states_kbps[state]
-            m = min(dwell, n - start)
+            m = min(left, n - len(out))
+            left -= m
             # with sigma 0, y stays exactly 0.0 and nothing is drawn
             for z in self.rng.standard_normal(m).tolist() if sigma > 0 else [0.0] * m:
                 y += theta * (0.0 - y)
                 y += sigma * z
                 out.append(level + y)
+        self.state, self.y, self.left = state, y, left
         return np.maximum(p.floor_kbps, np.asarray(out, dtype=np.float64))
 
 
@@ -210,14 +224,24 @@ class BandwidthGen:
 
 
 class AbrSession:
-    """Buffer dynamics for a single video over a fixed bandwidth trace."""
+    """Buffer dynamics for a single video over a per-second bandwidth trace.
 
-    def __init__(self, spec, trace_kbps, mu=DEFAULT_MU):
+    `trace` is a `BandwidthGen`, whose stream the session draws `BLOCK_S`
+    seconds at a time as its download walk reaches the end of what it has
+    drawn, or a fixed array of kbps, which grows by repeating itself.
+    """
+
+    def __init__(self, spec, trace, mu=DEFAULT_MU):
         self.spec = spec
-        trace = np.asarray(trace_kbps, dtype=np.float64)
-        if trace.size == 0 or np.any(trace <= 0):
-            raise ConfigError("bandwidth trace must be positive")
-        self._kbps = trace.tolist()  # Python floats for `_download`'s walk
+        if isinstance(trace, BandwidthGen):
+            self._block = lambda: trace.generate(BLOCK_S).tolist()
+        else:
+            fixed = np.asarray(trace, dtype=np.float64)
+            if fixed.size == 0 or np.any(fixed <= 0):
+                raise ConfigError("bandwidth trace must be positive")
+            fixed = fixed.tolist()
+            self._block = lambda: fixed
+        self._kbps = []  # Python floats for `_download`'s walk, grown by `_block`
         if mu < 0:
             raise ConfigError("mu must be non-negative")
         self.mu = mu
@@ -231,13 +255,17 @@ class AbrSession:
         return self.chunk >= self.spec.n_chunks
 
     def _download(self, size_bytes):
-        """Consume trace seconds until `size_bytes` have transferred."""
+        """Consume trace seconds until `size_bytes` have transferred, growing
+        the trace by a block whenever the walk reaches its end."""
         need_kbit = size_bytes * 8.0 / 1000.0
         t = self.clock_s
         trace = self._kbps
         n = len(trace)
         while need_kbit > 1e-12:
-            idx = int(t) % n
+            idx = int(t)
+            while idx >= n:
+                trace.extend(self._block())
+                n = len(trace)
             frac = 1.0 - (t - math.floor(t))
             can = trace[idx] * frac
             if can >= need_kbit:
@@ -357,9 +385,12 @@ def guard_step(guard, real_buffer, agent_action, default_action, rng):
 
 
 class AbrEnv:
-    """Back-to-back video sessions with fresh bandwidth draws per session.
+    """Back-to-back video sessions, each over its own bandwidth stream.
 
-    Each step downloads one chunk at the level it is given. Observations:
+    Every session's `BandwidthGen` draws from the one `rng`, and only as far
+    as the session reads, so the next session's trace starts where this
+    one stopped. Each step downloads one chunk at the level it is given.
+    Observations:
     download time and measured throughput of the last K chunks, the buffer
     (the real one unless the caller passes another), chunks left, the
     previous level, and the next chunk's sizes, all scaled to O(1).
@@ -380,8 +411,7 @@ class AbrEnv:
         self.group = group
 
     def _new_session(self):
-        trace = BandwidthGen(self.group, self.rng).generate(SESSION_TRACE_S)
-        self.session = AbrSession(self.spec, trace)
+        self.session = AbrSession(self.spec, BandwidthGen(self.group, self.rng))
         self._row[:2 * HISTORY_K] = 0.0
 
     @property

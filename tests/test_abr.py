@@ -283,8 +283,9 @@ class TestBandwidthDistribution:
         # sigma^2 / (theta (2 - theta)); the margin is 4 such standard errors.
         p = USER_GROUPS[name]
         seconds, sessions = 200, 400
-        gen = BandwidthGen(p, np.random.default_rng(21))
-        got = np.mean([gen.generate(seconds).mean() for _ in range(sessions)])
+        rng = np.random.default_rng(21)
+        got = np.mean([BandwidthGen(p, rng).generate(seconds).mean()
+                       for _ in range(sessions)])
         decay = (1.0 - p.ou_theta) ** 2
         want = 0.0
         for t in range(1, seconds + 1):

@@ -4,13 +4,17 @@
 and one draw per trace second) and `ReferenceObserver` the list-and-
 concatenate observation. The environment's own code must match them bit for
 bit and leave the random stream where they leave it, so a faster chunk path
-can never move an ABR digest unnoticed."""
+can never move an ABR digest unnoticed. A session draws its trace in blocks
+as it reads it; the blocks must join into the reference stream, and the
+session must download over them as it would over the trace drawn up front."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nonstat_rl.abr import (HISTORY_K, MAX_BUFFER_S, SESSION_TRACE_S, USER_GROUPS,
-                            AbrEnv, BandwidthGen, UserGroupParams, _sticky)
+from nonstat_rl.abr import (BLOCK_S, CHUNK_S, HISTORY_K, MAX_BUFFER_S, USER_GROUPS,
+                            AbrEnv, AbrSession, BandwidthGen, UserGroupParams, VideoSpec,
+                            _sticky)
 
 
 def reference_generate(gen, duration_s):
@@ -46,18 +50,109 @@ PRESETS["dwell3"] = UserGroupParams("dwell3", (800, 2000), _sticky(2, 0.6),
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_generate_matches_the_per_second_loop(name):
+    """Independent traces, one generator each on a shared rng."""
     params = PRESETS[name]
     for seed in (0, 1, 2, 29):
-        fast = BandwidthGen(params, np.random.default_rng(seed))
-        slow = BandwidthGen(params, np.random.default_rng(seed))
-        for duration in (SESSION_TRACE_S, SESSION_TRACE_S, 7, SESSION_TRACE_S):
-            got = fast.generate(duration)
-            want = reference_generate(slow, duration)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for duration in (1600, 1600, 7, 1600):
+            got = BandwidthGen(params, fast).generate(duration)
+            want = reference_generate(BandwidthGen(params, slow), duration)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert fast.rng.bit_generator.state == slow.rng.bit_generator.state
-        assert fast.rng.random() == slow.rng.random()
-        assert fast.rng.standard_normal() == slow.rng.standard_normal()
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.random() == slow.random()
+        assert fast.standard_normal() == slow.standard_normal()
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)), seed=st.integers(0, 2**32 - 1),
+       blocks=st.lists(st.integers(1, 5) | st.integers(6, 2 * BLOCK_S),
+                       min_size=1, max_size=12))
+@example(name="dwell3", seed=0, blocks=[1] * 10)       # every second its own block
+@example(name="UG1", seed=1, blocks=[2, 3, 3, 5, 1])   # splits inside dwells
+@example(name="sigma0", seed=2, blocks=[BLOCK_S] * 4)
+def test_blocks_join_into_one_stream(name, seed, blocks):
+    """A trace drawn in blocks of any lengths, joined, is the trace drawn
+    in one piece, and leaves the generator in the same state."""
+    params = PRESETS[name]
+    gen = BandwidthGen(params, np.random.default_rng(seed))
+    parts = [gen.generate(n) for n in blocks]
+    assert [len(part) for part in parts] == blocks
+    slow = BandwidthGen(params, np.random.default_rng(seed))
+    want = reference_generate(slow, sum(blocks))
+    assert np.concatenate(parts).tobytes() == want.tobytes()
+    assert gen.rng.bit_generator.state == slow.rng.bit_generator.state
+
+
+def record(info):
+    """A chunk record with each value as its exact hex."""
+    return {k: float(v).hex() for k, v in info.items()}
+
+
+def records(session, levels):
+    return [record(session.step(int(level))) for level in levels]
+
+
+@pytest.mark.parametrize("group,seed", [("UG1", 0), ("UG2", 5), ("UG3", 7), ("UG5", 29)])
+def test_lazy_session_matches_the_trace_drawn_up_front(group, seed):
+    spec = VideoSpec.synth(seed=0)
+    levels = np.random.default_rng(seed + 1).integers(spec.n_levels, size=spec.n_chunks)
+    params = USER_GROUPS[group]
+    lazy = AbrSession(spec, BandwidthGen(params, np.random.default_rng(seed)))
+    drawn = AbrSession(spec, BandwidthGen(params, np.random.default_rng(seed)).generate(1600))
+    assert records(lazy, levels) == records(drawn, levels)
+    assert 2 * BLOCK_S < lazy.clock_s < 1600
+
+
+@pytest.mark.parametrize("group,seed", [("UG1", 3), ("UG2", 4), ("UG4", 8), ("UG5", 9)])
+def test_each_session_draws_less_than_it_reads_plus_a_block(group, seed, monkeypatch):
+    """Seconds read are the session's final clock, as the benchmark's
+    tracer counts them. The last chunk's idle time (at most a chunk)
+    moves the clock past the last second read without reading it."""
+    generate, drawn = BandwidthGen.generate, [0]
+
+    def counted(gen, seconds):
+        drawn[0] += int(seconds)
+        return generate(gen, seconds)
+
+    monkeypatch.setattr(BandwidthGen, "generate", counted)
+    env = AbrEnv(USER_GROUPS[group], seed=seed)
+    rng = np.random.default_rng(seed)
+    start, sessions = 0, 0
+    while sessions < 6:
+        session = env.session
+        _, done = env.step(int(rng.integers(env.spec.n_levels)))
+        if done:
+            got = drawn[0] - start
+            assert got % BLOCK_S == 0
+            assert session.clock_s - CHUNK_S < got < session.clock_s + BLOCK_S
+            start, sessions = drawn[0], sessions + 1
+
+
+def test_a_session_past_1600_s_reads_fresh_bandwidth():
+    """A trace drawn up front to 1,600 s is replayed from its start after
+    1,600 s. A session fed as it reads draws new seconds instead: those of
+    a longer trace drawn up front."""
+    slow = UserGroupParams("slow", (30,), ((1.0,),), ou_sigma=3.0, ou_theta=0.2,
+                           floor_kbps=10.0)
+    spec = VideoSpec.synth(seed=0)
+    lazy, long, short = (AbrSession(spec, trace) for trace in (
+        BandwidthGen(slow, np.random.default_rng(6)),
+        BandwidthGen(slow, np.random.default_rng(6)).generate(4000),
+        BandwidthGen(slow, np.random.default_rng(6)).generate(1600)))
+    diverged, past = False, 0
+    while not lazy.done:
+        start = lazy.clock_s
+        got = record(lazy.step(0))
+        assert got == record(long.step(0))
+        replayed = record(short.step(0))
+        if start + float.fromhex(got["download_s"]) <= 1600:
+            assert replayed == got
+        elif not diverged:  # the first chunk that reads past 1,600 s
+            assert replayed != got
+            diverged = True
+        past += start > 1600
+    assert diverged and past >= 4 and lazy.clock_s < 4000
 
 
 class ReferenceObserver:

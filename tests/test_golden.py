@@ -88,9 +88,9 @@ CASES = {
 
 GOLDEN = {
     "abr-a2c-guard": {
-        "timeseries.csv": "8ca52f786e73f3677fc6bd59959326b8a4f00ec32becf23dd9e9ad8205b82552",
-        "detections.csv": "5e52b11cf429b4b60fcfc787afcf8147aa96409692732d6915a6de71c801b732",
-        "summary.csv": "1c05df593488ce9120a7b1e403772e2a867782b4134f36b6a7e7cd5ba3576be4",
+        "timeseries.csv": "335ca0756e7912bb853232e004afa115925549f6e7a9afeafe24bca1b9230503",
+        "detections.csv": "1ba44ce790cec337ac096b52f12c31009e56d7e95ed8f51d91de88be5ae1262d",
+        "summary.csv": "b8621b55f65bbe34895e9e662fd03fb57690969a6871975a8ae975fc9044afec",
         "status.json": "7b458347f68460f199eed5a0309a0bb51043f3a0ef0abb28adbca4a5e05c533c",
     },
     "straggler-a2c-multi-gmm": {
@@ -189,7 +189,7 @@ PINNED = {
     "straggler-safeguard": 2165.2507200648724,
     "straggler-unguarded": 2822.2945091566316,
     "straggler-workload-info": 119.6843363801579,
-    "abr-workload-info": 5.182463212742216,
+    "abr-workload-info": 5.63320300645766,
     "cross-eval A->C": 0.19903497656311503,
     "cross-eval C->A": 3.496964340325501,
     "pretrain-a2c": "badad71204ce9041061e1f13bfe6602259e228d92ce2a0198ea56298e7de5d94",
