@@ -22,8 +22,9 @@ are kept. For each metric it holds both sides' medians, the base's
 quartiles, the change's wins out of the pairs in which both runs
 succeeded (the direction comes from `BENCHMARK.json`), and the gap between
 the medians in units of the base's interquartile range. It also holds
-every run's `attempted` count, both sides' `# digest` lines and whether
-they match, both commits and the machine; the change side is named by
+every run's `attempted` count and digest, whether each side's runs all
+gave one digest, both sides' `# digest` lines and whether they match,
+both commits and the machine; the change side is named by
 HEAD and, when the working tree differs from it, the sha256 of the binary
 diff from HEAD to the temporary commit (untracked files included).
 Standard library only.
@@ -175,6 +176,8 @@ def main():
 
     first = lambda side, key: next((r[side][key] for r in runs if r[side][key]), None)
     digests = {side: first(side, "digest") for side in ("base", "change")}
+    run_digests = {side: [digest_of(r[side]["digest"]) for r in runs]
+                   for side in ("base", "change")}
     null = base_sha == change_sha and not diff
     record = {
         "command": " ".join(cmd),
@@ -189,6 +192,9 @@ def main():
         "correct": {side: [bool(r[side]["result"] and r[side]["result"]["correct"])
                            for r in runs] for side in ("base", "change")},
         "digest_lines": digests,
+        "run_digests": run_digests,
+        "one_digest_per_side": {side: None not in d and len(set(d)) == 1
+                                for side, d in run_digests.items()},
         "digests_match": (digest_of(digests["base"]) is not None
                           and digest_of(digests["base"]) == digest_of(digests["change"])),
         "machine": {"platform": platform.platform(),
@@ -212,7 +218,9 @@ def main():
             print(f"{name}: base {m['base_median']:.4g} -> change "
                   f"{m['change_median']:.4g}, wins {m['wins']}/{m['of']}")
     ok = all(all(c) for c in record["correct"].values())
-    print(f"digests match: {record['digests_match']}; written to {args.out}")
+    steady = record["one_digest_per_side"]
+    print(f"one digest per side: base {steady['base']}, change {steady['change']}; "
+          f"digests match: {record['digests_match']}; written to {args.out}")
     return 0 if ok else 1
 
 
